@@ -8,9 +8,10 @@
 //
 //   pipelined   RemoteEdbms only: PR-style correlation-id pipelining, one
 //               backend entry per logical probe round (the prior baseline)
-//   coalesced   net::CoalescedEdbms over the same RemoteEdbms: concurrent
-//               selections' rounds merge in the bus's linger window into
-//               few trusted-machine entries
+//   coalesced   net::CoalescedEdbms over the same RemoteEdbms: rounds
+//               submitted while the bus's one entry is in flight merge
+//               into the next, so concurrent selections share few
+//               trusted-machine entries
 //
 // Reported per configuration: QPS, per-selection p50/p99, logical probe
 // rounds (qpf.round_trips — identical accounting in both configs), physical
@@ -18,9 +19,10 @@
 // Every winner set is checked against the plaintext oracle.
 //
 // Loopback phase: tmlat=0, no socket — a local CoalescedEdbms over
-// CipherbaseEdbms against the bare backend, single stream. The adaptive
-// linger snaps to zero below the latency floor, so the bus must cost ~
-// nothing: single-query p99 within 5% of uncoalesced is the gate.
+// CipherbaseEdbms against the bare backend, single stream. A lone stream
+// never finds an entry in flight, so every round passes straight through
+// and the bus must cost ~nothing: single-query p99 within 5% of
+// uncoalesced is the gate.
 //
 // Gates (full runs; --smoke skips them):
 //   coalesced QPS >= 2x pipelined, entries-per-round reduced >= 4x,
@@ -162,9 +164,9 @@ int Main(int argc, char** argv) {
               "beyond-paper serving experiment", args,
               "a serial trusted machine (1 server worker) charges the full "
               "per-entry latency; the round bus merges concurrent "
-              "selections' probe rounds into one entry within an adaptive "
-              "linger window, so entries-per-round collapses while winners "
-              "stay byte-identical");
+              "selections' probe rounds into one entry while the previous "
+              "entry is in flight, so entries-per-round collapses while "
+              "winners stay byte-identical");
 
   workload::SyntheticSpec spec;
   spec.rows = rows;
@@ -219,9 +221,6 @@ int Main(int argc, char** argv) {
     edbms::Edbms* front = &remote;
     if (coalesce) {
       bus = std::make_unique<net::CoalescedEdbms>(&remote);
-      // Prime the linger from the same hint the planner starts from; the
-      // executor re-pushes the calibrator's fit after every query.
-      bus->CalibrateTransport(args.tm_latency_ns);
       front = bus.get();
     }
 
@@ -281,7 +280,7 @@ int Main(int argc, char** argv) {
   tp.Print();
 
   // Loopback phase: no socket, no TM latency, single stream — the bus must
-  // be a passthrough (adaptive linger 0 below the latency floor).
+  // be a passthrough (a lone stream never finds an entry in flight).
   TablePrinter lp("loopback single-stream, " + std::to_string(rows) +
                   " rows, tmlat 0");
   lp.SetHeader({"mode", "QPS", "p50 ms", "p99 ms", "logical rounds",

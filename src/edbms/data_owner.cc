@@ -43,15 +43,22 @@ Trapdoor DataOwner::Issue(AttrId attr, PredicateKind kind,
   td.uid = next_uid_++;
   td.blob = SealTrapdoor(trapdoor_cipher_, trapdoor_mac_, attr, kind,
                          next_nonce_++, p);
+  return td;
+}
 
+std::optional<PlainPredicate> DataOwner::OpenPredicate(
+    const Trapdoor& td) const {
+  TrapdoorPayload p;
+  if (!OpenTrapdoor(trapdoor_cipher_, trapdoor_mac_, td, &p)) {
+    return std::nullopt;
+  }
   PlainPredicate plain;
-  plain.attr = attr;
-  plain.kind = kind;
+  plain.attr = td.attr;
+  plain.kind = td.kind;
   plain.op = p.op;
   plain.lo = p.lo;
   plain.hi = p.hi;
-  issued_.emplace(td.uid, plain);
-  return td;
+  return plain;
 }
 
 Trapdoor DataOwner::MakeComparison(AttrId attr, CompareOp op, Value c) {

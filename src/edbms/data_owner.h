@@ -2,7 +2,7 @@
 #define PRKB_EDBMS_DATA_OWNER_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "crypto/cipher.h"
@@ -45,11 +45,11 @@ class DataOwner {
   /// oracles; never available to the SP).
   Value DecryptValue(const EncValue& ev) const { return crypter_.Decrypt(ev); }
 
-  /// Plain form of an issued trapdoor, looked up by uid. Models the DO's own
-  /// memory of its queries; used by the SDB-style MPC endpoint and by tests.
-  const PlainPredicate& PlainFormOf(uint64_t uid) const {
-    return issued_.at(uid);
-  }
+  /// Plain form of a trapdoor this DO issued, recovered by opening its
+  /// sealed blob with the DO's own keys — so the DO keeps no per-trapdoor
+  /// state. Empty on a forged or foreign trapdoor. Used by the SDB-style MPC
+  /// endpoint; safe to call concurrently with issuing.
+  std::optional<PlainPredicate> OpenPredicate(const Trapdoor& td) const;
 
   /// Additive mask for SDB-style secret sharing of cell (attr, tid): the DO
   /// can regenerate its share from the PRF instead of storing it (the paper
@@ -69,7 +69,6 @@ class DataOwner {
   crypto::HmacSha256 trapdoor_mac_;
   uint64_t next_nonce_ = 1;
   uint64_t next_uid_ = 1;
-  std::unordered_map<uint64_t, PlainPredicate> issued_;
 };
 
 }  // namespace prkb::edbms

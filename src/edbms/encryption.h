@@ -2,6 +2,8 @@
 #define PRKB_EDBMS_ENCRYPTION_H_
 
 #include <cstdint>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/cipher.h"
@@ -75,6 +77,30 @@ std::vector<uint8_t> SealTrapdoor(const crypto::AesCtr& cipher,
 /// Verifies the MAC and opens the blob. Returns false on tampering.
 bool OpenTrapdoor(const crypto::AesCtr& cipher, const crypto::HmacSha256& mac,
                   const Trapdoor& td, TrapdoorPayload* out);
+
+/// Opens each distinct trapdoor of one multi-trapdoor entry once, however
+/// many lanes carry it. Lanes usually come in runs of one trapdoor, so a run
+/// costs a pointer compare per lane and one hash lookup. `T` is the opened
+/// form; `open` returns std::optional<T>, empty for a forged trapdoor.
+template <typename T>
+class OpenOncePerEntry {
+ public:
+  template <typename OpenFn>
+  const std::optional<T>& Get(const Trapdoor* td, OpenFn&& open) {
+    if (td != last_td_) {
+      auto [it, fresh] = opened_.try_emplace(td);
+      if (fresh) it->second = open(*td);
+      last_td_ = td;
+      last_ = &it->second;
+    }
+    return *last_;
+  }
+
+ private:
+  const Trapdoor* last_td_ = nullptr;
+  const std::optional<T>* last_ = nullptr;
+  std::unordered_map<const Trapdoor*, std::optional<T>> opened_;
+};
 
 }  // namespace prkb::edbms
 

@@ -174,8 +174,9 @@ class QpfOracle {
 
   /// Blocks until ticket `t`'s round completes and returns its bits (bit i
   /// is Θ(*reqs[i].td, reqs[i].tid) of the submitted span). Records the
-  /// logical round's qpf.round_trip_ns from submit to completion, so any
-  /// coalescing linger is visible in the histogram the calibrator fits.
+  /// logical round's qpf.round_trip_ns from submit to completion, so time a
+  /// round spends queued behind a coalescing transport's in-flight entry is
+  /// visible in the histogram the calibrator fits.
   BitVector AwaitMany(ProbeTicket t) {
     if (t == kEmptyProbeTicket) return BitVector();
     BitVector out = DoAwaitMany(t);
@@ -189,9 +190,9 @@ class QpfOracle {
   /// CostCalibrator so the planner prices the amortised round latency L/c.
   virtual double CoalescingFactor() const { return 1.0; }
 
-  /// Push-down of the calibrator's fitted round-trip latency, from which a
-  /// coalescing transport derives its linger window. No-op for direct
-  /// backends.
+  /// Retained no-op for callers that prime a transport with a latency hint.
+  /// No backend needs the fitted latency: the round bus (net::RoundBus)
+  /// merges while its one entry is in flight, with no timer to derive.
   virtual void CalibrateTransport(uint64_t /*rt_latency_ns*/) {}
 
   /// --- Uncounted backend entries for transport shims ----------------------
@@ -258,8 +259,8 @@ class QpfOracle {
 
   /// Backend hooks for the split-phase surface. The defaults evaluate at
   /// submit time and park the bits in the ticket book, so non-coalescing
-  /// backends need nothing; a coalescing transport overrides both to defer
-  /// the backend entry until its linger window closes.
+  /// backends need nothing; a coalescing transport may override both to
+  /// defer the backend entry until it can merge with other rounds.
   virtual void DoSubmitMany(ProbeTicket t, std::span<const ProbeRequest> reqs) {
     tickets_->Stash(t, DoEvalMany(reqs));
   }

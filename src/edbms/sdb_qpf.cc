@@ -80,7 +80,8 @@ bool SdbEdbms::DoEval(const Trapdoor& td, TupleId tid) {
   SdbMetrics::Get().rounds->Add(1);
   SdbMetrics::Get().bytes->Add(nbytes);
   SimulateLatency();
-  return Reconstruct(td, do_.PlainFormOf(td.uid), tid);
+  const std::optional<PlainPredicate> pred = do_.OpenPredicate(td);
+  return pred && Reconstruct(td, *pred, tid);
 }
 
 BitVector SdbEdbms::DoEvalBatch(const Trapdoor& td,
@@ -94,10 +95,11 @@ BitVector SdbEdbms::DoEvalBatch(const Trapdoor& td,
   SdbMetrics::Get().rounds->Add(1);
   SdbMetrics::Get().bytes->Add(nbytes);
   SimulateLatency();
-  const PlainPredicate& pred = do_.PlainFormOf(td.uid);
   BitVector out(tids.size());
+  const std::optional<PlainPredicate> pred = do_.OpenPredicate(td);
+  if (!pred) return out;  // forged trapdoor: every lane false
   for (size_t i = 0; i < tids.size(); ++i) {
-    out.Assign(i, Reconstruct(td, pred, tids[i]));
+    out.Assign(i, Reconstruct(td, *pred, tids[i]));
   }
   return out;
 }
@@ -114,9 +116,13 @@ BitVector SdbEdbms::DoEvalMany(std::span<const ProbeRequest> reqs) {
   SdbMetrics::Get().bytes->Add(nbytes);
   SimulateLatency();
   BitVector out(reqs.size());
+  OpenOncePerEntry<PlainPredicate> opened;
+  const auto open = [this](const Trapdoor& td) {
+    return do_.OpenPredicate(td);
+  };
   for (size_t i = 0; i < reqs.size(); ++i) {
-    out.Assign(i, Reconstruct(*reqs[i].td, do_.PlainFormOf(reqs[i].td->uid),
-                              reqs[i].tid));
+    const std::optional<PlainPredicate>& pred = opened.Get(reqs[i].td, open);
+    if (pred) out.Assign(i, Reconstruct(*reqs[i].td, *pred, reqs[i].tid));
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "edbms/trusted_machine.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "common/latency.h"
@@ -42,18 +43,36 @@ TrustedMachine::TrustedMachine(uint64_t master_seed)
 
 void TrustedMachine::SimulateLatency() const { latency_.Apply(); }
 
-const TrapdoorPayload* TrustedMachine::Open(const Trapdoor& td) {
+std::optional<TrapdoorPayload> TrustedMachine::Open(const Trapdoor& td) {
+  VerifiedSlot& slot = verified_[td.uid % kVerifiedCacheCapacity];
+  const auto matches = [&] {
+    return slot.valid && slot.uid == td.uid && slot.attr == td.attr &&
+           slot.kind == td.kind && td.blob.size() == slot.blob.size() &&
+           std::equal(slot.blob.begin(), slot.blob.end(), td.blob.begin());
+  };
   {
     std::shared_lock<std::shared_mutex> lock(verified_mu_);
-    auto it = verified_.find(td.uid);
-    if (it != verified_.end()) return &it->second;
+    if (matches()) return slot.payload;
   }
   TrapdoorPayload payload;
   if (!OpenTrapdoor(trapdoor_cipher_, trapdoor_mac_, td, &payload)) {
-    return nullptr;
+    return std::nullopt;
   }
   std::unique_lock<std::shared_mutex> lock(verified_mu_);
-  return &verified_.try_emplace(td.uid, payload).first->second;
+  slot.valid = true;
+  slot.uid = td.uid;
+  slot.attr = td.attr;
+  slot.kind = td.kind;
+  std::copy(td.blob.begin(), td.blob.end(), slot.blob.begin());
+  slot.payload = payload;
+  return payload;
+}
+
+size_t TrustedMachine::verified_cache_size() const {
+  std::shared_lock<std::shared_mutex> lock(verified_mu_);
+  return static_cast<size_t>(
+      std::count_if(verified_.begin(), verified_.end(),
+                    [](const VerifiedSlot& s) { return s.valid; }));
 }
 
 bool TrustedMachine::Compare(const TrapdoorPayload& p, PredicateKind kind,
@@ -80,8 +99,8 @@ bool TrustedMachine::EvalPredicate(const Trapdoor& td, const EncValue& cell,
   TmMetrics::Get().entries->Add(1);
   TmMetrics::Get().evals->Add(1);
   SimulateLatency();
-  const TrapdoorPayload* p = Open(td);
-  if (p == nullptr) {
+  const std::optional<TrapdoorPayload> p = Open(td);
+  if (!p) {
     if (ok != nullptr) *ok = false;
     return false;
   }
@@ -99,8 +118,8 @@ BitVector TrustedMachine::EvalPredicateBatch(
   m.evals->Add(cells.size());
   m.batch_cells->Record(cells.size());
   SimulateLatency();  // the whole batch travels in one round trip
-  const TrapdoorPayload* p = Open(td);
-  if (p == nullptr) {
+  const std::optional<TrapdoorPayload> p = Open(td);
+  if (!p) {
     if (ok != nullptr) *ok = false;
     return out;
   }
@@ -123,9 +142,11 @@ BitVector TrustedMachine::EvalPredicateMulti(
   m.batch_cells->Record(cells.size());
   SimulateLatency();  // the whole fused round travels in one round trip
   bool all_ok = true;
+  OpenOncePerEntry<TrapdoorPayload> opened;
+  const auto open = [this](const Trapdoor& td) { return Open(td); };
   for (size_t i = 0; i < cells.size(); ++i) {
-    const TrapdoorPayload* p = Open(*tds[i]);
-    if (p == nullptr) {
+    const std::optional<TrapdoorPayload>& p = opened.Get(tds[i], open);
+    if (!p) {
       all_ok = false;
       continue;  // lane stays false
     }

@@ -1,11 +1,13 @@
 #ifndef PRKB_EDBMS_TRUSTED_MACHINE_H_
 #define PRKB_EDBMS_TRUSTED_MACHINE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "common/bitvector.h"
 #include "common/latency.h"
@@ -35,6 +37,11 @@ namespace prkb::edbms {
 /// concurrently.
 class TrustedMachine {
  public:
+  /// Slots in the verified-trapdoor cache. Fixed, so the TM's memory does
+  /// not grow with the number of trapdoors ever issued; a trapdoor evicted
+  /// from its slot is simply MAC-verified again on its next use.
+  static constexpr size_t kVerifiedCacheCapacity = 1024;
+
   /// Provisioned with the same seed as the data owner.
   explicit TrustedMachine(uint64_t master_seed);
 
@@ -101,6 +108,9 @@ class TrustedMachine {
   uint64_t round_trips() const {
     return round_trips_.load(std::memory_order_relaxed);
   }
+  /// Trapdoors currently held verified; never above kVerifiedCacheCapacity.
+  size_t verified_cache_size() const;
+
   void ResetCounters() {
     predicate_evals_.store(0, std::memory_order_relaxed);
     value_decrypts_.store(0, std::memory_order_relaxed);
@@ -109,8 +119,9 @@ class TrustedMachine {
 
  private:
   void SimulateLatency() const;
-  /// Opens (or fetches from the verified cache) the plain form of `td`.
-  const TrapdoorPayload* Open(const Trapdoor& td);
+  /// Opens (or fetches from the verified cache) the plain form of `td`;
+  /// empty on a forged trapdoor.
+  std::optional<TrapdoorPayload> Open(const Trapdoor& td);
   /// Decrypt-and-compare of one cell under an opened trapdoor.
   bool Compare(const TrapdoorPayload& p, PredicateKind kind,
                const EncValue& cell) const;
@@ -119,11 +130,22 @@ class TrustedMachine {
   ValueCrypter crypter_;
   crypto::AesCtr trapdoor_cipher_;
   crypto::HmacSha256 trapdoor_mac_;
-  // Verified trapdoors, keyed by uid: MAC verification happens once per
-  // trapdoor, not once per tuple. Guarded for parallel scan workers;
-  // unordered_map never moves values, so returned pointers stay valid.
-  std::shared_mutex verified_mu_;
-  std::unordered_map<uint64_t, TrapdoorPayload> verified_;
+  // Verified trapdoors, direct-mapped by uid: MAC verification happens once
+  // per trapdoor, not once per tuple. A hit must match the whole trapdoor —
+  // uid, attr, kind and sealed bytes — so a forged copy of a cached uid is
+  // verified (and rejected) like any other. Guarded for parallel scan
+  // workers.
+  struct VerifiedSlot {
+    bool valid = false;
+    uint64_t uid = 0;
+    AttrId attr = 0;
+    PredicateKind kind = PredicateKind::kComparison;
+    std::array<uint8_t, kTrapdoorBlobSize> blob{};
+    TrapdoorPayload payload{};
+  };
+  mutable std::shared_mutex verified_mu_;
+  std::vector<VerifiedSlot> verified_ =
+      std::vector<VerifiedSlot>(kVerifiedCacheCapacity);
   std::atomic<uint64_t> predicate_evals_{0};
   std::atomic<uint64_t> value_decrypts_{0};
   std::atomic<uint64_t> round_trips_{0};

@@ -424,14 +424,9 @@ std::vector<TupleId> Executor::Run(Plan* plan, SelectionStats* stats) {
     cal.ObservePlan(static_cast<double>(plan_cost.uses()),
                     static_cast<double>(plan_cost.round_trips()), wall_ns);
   }
-  // Close the round-bus feedback loop: fold the transport's observed
-  // coalescing factor into the fit the planner prices L/c from, and push
-  // the fitted latency back down so the bus can re-derive its linger
-  // window. Both are no-ops on direct backends (factor 1.0, empty
-  // CalibrateTransport).
+  // Fold the transport's observed coalescing factor into the fit the
+  // planner prices L/c from (1.0 on direct backends).
   cal.ObserveCoalescing(index_->db()->CoalescingFactor());
-  index_->db()->CalibrateTransport(
-      static_cast<uint64_t>(std::max(0.0, cal.rt_latency_ns())));
   if (root->has_estimate) {
     const double est = root->estimated.Total();
     const double err =

@@ -1,7 +1,6 @@
 #include "net/coalesce.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 #include <utility>
 
@@ -22,8 +21,8 @@ bool SameTrapdoor(const edbms::Trapdoor& a, const edbms::Trapdoor& b) {
          a.blob == b.blob;
 }
 
-/// Upper bound on one round's wire size, cheap enough to gate the fast
-/// paths on: runs of the same trapdoor pointer (the shape of every scan
+/// Upper bound on one round's wire size, cheap enough to gate the
+/// passthrough on: runs of the same trapdoor pointer (the shape of every scan
 /// round) charge the trapdoor once, so the common case is a pointer compare
 /// per request with a single dereference. Non-adjacent repeats re-charge —
 /// still an over-estimate, never an under-estimate.
@@ -42,8 +41,29 @@ size_t EstimateBytes(std::span<const edbms::ProbeRequest> reqs) {
 }  // namespace
 
 RoundBus::RoundBus(edbms::QpfOracle* inner, RoundBusOptions opts)
-    : inner_(inner), opts_(opts), linger_ns_(opts.linger_ns) {
-  CoalesceMetrics::Get().linger_ns->Set(static_cast<int64_t>(opts.linger_ns));
+    : inner_(inner), opts_(opts) {}
+
+bool RoundBus::TryPassThrough(std::unique_lock<std::mutex>& lk,
+                              std::span<const edbms::ProbeRequest> reqs,
+                              BitVector* out) {
+  if (in_flight_ || !queue_.empty() ||
+      EstimateBytes(reqs) > opts_.max_entry_bytes) {
+    return false;
+  }
+  in_flight_ = true;
+  totals_.entries += 1;
+  factor_ewma_ = flushes_ == 0 ? 1.0 : 0.75 * factor_ewma_ + 0.25;
+  ++flushes_;
+  lk.unlock();
+  // The factor gauge is refreshed on merged flushes; skipping it here keeps
+  // the passthrough to counter bumps only.
+  CoalesceMetrics::Get().entries->Add(1);
+  *out = inner_->ServeEvalMany(reqs);
+  lk.lock();
+  in_flight_ = false;
+  // Rounds that queued behind this entry may now ship.
+  if (!queue_.empty()) cv_.notify_all();
+  return true;
 }
 
 uint64_t RoundBus::Submit(std::span<const edbms::ProbeRequest> reqs,
@@ -56,32 +76,16 @@ uint64_t RoundBus::Submit(std::span<const edbms::ProbeRequest> reqs,
   const uint64_t t = key != 0 ? key : next_ticket_++;
   totals_.rounds += 1;
   totals_.requests += reqs.size();
-  if (linger_ns_.load(std::memory_order_relaxed) == 0 && queue_.empty() &&
-      !collecting_ && EstimateBytes(reqs) <= opts_.max_entry_bytes) {
-    // Lone round, no window to hold for: evaluate inline (lock released) and
-    // stash the bits for Await, skipping the queue/collector machinery and
-    // the request copy. The span's backing stays valid for the duration of
-    // this call, so no copy is needed.
-    auto sub = std::make_shared<Sub>();
-    sub->state = Sub::kFlushing;
-    subs_.emplace(t, sub);
-    totals_.entries += 1;
-    factor_ewma_ = flushes_ == 0 ? 1.0 : 0.75 * factor_ewma_ + 0.25;
-    ++flushes_;
-    lk.unlock();
-    BitVector bits = inner_->ServeEvalMany(reqs);
-    lk.lock();
-    sub->bits = std::move(bits);
-    sub->state = Sub::kDone;
-    lk.unlock();
-    cv_.notify_all();  // an Await may already be parked on this ticket
-    m.entries->Add(1);
-    return t;
-  }
   auto sub = std::make_shared<Sub>();
-  sub->reqs.assign(reqs.begin(), reqs.end());
-  subs_.emplace(t, sub);
-  queue_.push_back(std::move(sub));
+  // An idle bus evaluates inline and stashes the bits for Await, skipping
+  // the request copy: the span's backing is valid for this call.
+  if (TryPassThrough(lk, reqs, &sub->bits)) {
+    sub->state = Sub::kDone;
+  } else {
+    sub->reqs.assign(reqs.begin(), reqs.end());
+    queue_.push_back(sub);
+  }
+  subs_.emplace(t, std::move(sub));
   return t;
 }
 
@@ -89,49 +93,18 @@ BitVector RoundBus::Exchange(std::span<const edbms::ProbeRequest> reqs) {
   if (reqs.empty()) return BitVector();
   {
     std::unique_lock<std::mutex> lk(mu_);
-    if (linger_ns_.load(std::memory_order_relaxed) == 0 && queue_.empty() &&
-        !collecting_ && EstimateBytes(reqs) <= opts_.max_entry_bytes) {
+    BitVector bits;
+    if (TryPassThrough(lk, reqs, &bits)) {
       totals_.rounds += 1;
       totals_.requests += reqs.size();
-      totals_.entries += 1;
-      factor_ewma_ = flushes_ == 0 ? 1.0 : 0.75 * factor_ewma_ + 0.25;
-      ++flushes_;
       lk.unlock();
-      // The factor gauge is refreshed on merged flushes and stats() reads;
-      // skipping it here keeps the passthrough to counter bumps only.
       const CoalesceMetrics& m = CoalesceMetrics::Get();
       m.rounds->Add(1);
       m.requests->Add(reqs.size());
-      m.entries->Add(1);
-      return inner_->ServeEvalMany(reqs);
+      return bits;
     }
   }
   return Await(Submit(reqs));
-}
-
-bool RoundBus::TryDirect(const edbms::Trapdoor& td, size_t n) {
-  if (n == 0) return false;
-  // Lock-free decline while a window is open: with a nonzero linger every
-  // round must go through the queue so it can merge.
-  if (linger_ns_.load(std::memory_order_relaxed) != 0) return false;
-  const size_t bytes = kChunkFixedBytes + n * kItemBytes + TdBytes(td);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (linger_ns_.load(std::memory_order_relaxed) != 0 || !queue_.empty() ||
-        collecting_ || bytes > opts_.max_entry_bytes) {
-      return false;
-    }
-    totals_.rounds += 1;
-    totals_.requests += n;
-    totals_.entries += 1;
-    factor_ewma_ = flushes_ == 0 ? 1.0 : 0.75 * factor_ewma_ + 0.25;
-    ++flushes_;
-  }
-  const CoalesceMetrics& m = CoalesceMetrics::Get();
-  m.rounds->Add(1);
-  m.requests->Add(n);
-  m.entries->Add(1);
-  return true;
 }
 
 BitVector RoundBus::Await(uint64_t t) {
@@ -142,14 +115,14 @@ BitVector RoundBus::Await(uint64_t t) {
   std::shared_ptr<Sub> sub = std::move(it->second);
   subs_.erase(it);
   while (sub->state != Sub::kDone) {
-    if (!collecting_ && sub->state == Sub::kQueued) {
-      // No collection in progress and our round is still queued: elect
-      // ourselves collector. This flushes at least our own round.
+    if (!in_flight_ && sub->state == Sub::kQueued) {
+      // The in-flight entry has returned and our round is still queued:
+      // elect ourselves collector. This ships at least our own round.
       CollectAndFlush(lk);
     } else {
       cv_.wait(lk, [&] {
         return sub->state == Sub::kDone ||
-               (!collecting_ && sub->state == Sub::kQueued);
+               (!in_flight_ && sub->state == Sub::kQueued);
       });
     }
   }
@@ -157,25 +130,14 @@ BitVector RoundBus::Await(uint64_t t) {
 }
 
 void RoundBus::CollectAndFlush(std::unique_lock<std::mutex>& lk) {
-  collecting_ = true;
-  const uint64_t linger = linger_ns_.load(std::memory_order_relaxed);
-  if (linger > 0) {
-    // Linger with the lock released so concurrent selections can queue
-    // their rounds into this entry. A spurious wakeup only shortens the
-    // window; correctness never depends on the full linger elapsing.
-    cv_.wait_for(lk, std::chrono::nanoseconds(linger));
-  }
+  in_flight_ = true;
   std::vector<std::shared_ptr<Sub>> batch = std::move(queue_);
   queue_.clear();
   for (const auto& s : batch) s->state = Sub::kFlushing;
-  // Hand the collector role to the next waiter *before* the (possibly slow)
-  // backend entry: successive entries overlap on the wire exactly like the
-  // pipelined client's correlation-id multiplexing.
-  collecting_ = false;
-  cv_.notify_all();
   lk.unlock();
   const size_t entries = FlushBatch(batch);
   lk.lock();
+  in_flight_ = false;
   for (const auto& s : batch) s->state = Sub::kDone;
   if (entries > 0) {
     const double sample =
@@ -193,7 +155,7 @@ size_t RoundBus::FlushBatch(const std::vector<std::shared_ptr<Sub>>& batch) {
   if (batch.empty()) return 0;
   if (batch.size() == 1 &&
       EstimateBytes(batch[0]->reqs) <= opts_.max_entry_bytes) {
-    // One in-budget round in the window: ship it verbatim — it is exactly
+    // One in-budget round in the queue: ship it verbatim — it is exactly
     // the entry the uncoalesced transport would send (intra-round dedup
     // happens at encode time), so the cross-request dedup/scatter machinery
     // below would only add latency.
@@ -291,19 +253,6 @@ size_t RoundBus::FlushBatch(const std::vector<std::shared_ptr<Sub>>& batch) {
   return chunks.size();
 }
 
-void RoundBus::SetFittedLatency(uint64_t rt_latency_ns) {
-  if (!opts_.adaptive_linger) return;
-  uint64_t linger = 0;
-  if (rt_latency_ns >= opts_.linger_floor_latency_ns) {
-    linger = std::min<uint64_t>(
-        static_cast<uint64_t>(static_cast<double>(rt_latency_ns) *
-                              opts_.linger_frac),
-        opts_.max_linger_ns);
-  }
-  linger_ns_.store(linger, std::memory_order_relaxed);
-  CoalesceMetrics::Get().linger_ns->Set(static_cast<int64_t>(linger));
-}
-
 double RoundBus::factor() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return flushes_ == 0 ? 1.0 : std::max(1.0, factor_ewma_);
@@ -312,7 +261,8 @@ double RoundBus::factor() const {
 RoundBus::Stats RoundBus::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   Stats out = totals_;
-  out.linger_ns = linger_ns_.load(std::memory_order_relaxed);
+  out.in_flight = in_flight_ ? 1 : 0;
+  out.queued = queue_.size();
   out.factor = flushes_ == 0 ? 1.0 : std::max(1.0, factor_ewma_);
   return out;
 }

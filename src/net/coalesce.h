@@ -1,7 +1,6 @@
 #ifndef PRKB_NET_COALESCE_H_
 #define PRKB_NET_COALESCE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -20,7 +19,7 @@ namespace prkb::net {
 
 /// Round-bus telemetry (docs/OBSERVABILITY.md). `factor_x1000` is the EWMA
 /// coalescing factor — logical rounds carried per backend entry — in
-/// thousandths; `linger_ns` the current adaptive linger window.
+/// thousandths.
 struct CoalesceMetrics {
   obs::Counter* rounds;
   obs::Counter* requests;
@@ -28,7 +27,6 @@ struct CoalesceMetrics {
   obs::Counter* merged_rounds;
   obs::Counter* dedup_tds;
   obs::Counter* overflow_splits;
-  obs::Gauge* linger_ns;
   obs::Gauge* factor_x1000;
 
   static const CoalesceMetrics& Get() {
@@ -39,7 +37,6 @@ struct CoalesceMetrics {
         obs::MetricsRegistry::Global().GetCounter("coalesce.merged_rounds"),
         obs::MetricsRegistry::Global().GetCounter("coalesce.dedup_tds"),
         obs::MetricsRegistry::Global().GetCounter("coalesce.overflow_splits"),
-        obs::MetricsRegistry::Global().GetGauge("coalesce.linger_ns"),
         obs::MetricsRegistry::Global().GetGauge("coalesce.factor_x1000"),
     };
     return m;
@@ -47,25 +44,6 @@ struct CoalesceMetrics {
 };
 
 struct RoundBusOptions {
-  /// Fixed linger window (ns) used until — and instead of, when
-  /// `adaptive_linger` is off — a fitted latency arrives. 0 = flush the
-  /// moment a waiter can collect, i.e. pure passthrough for a lone caller.
-  uint64_t linger_ns = 0;
-  /// Derive the window from SetFittedLatency (the executor pushes the
-  /// calibrator's fitted round-trip latency down after every query).
-  bool adaptive_linger = true;
-  /// Window = linger_frac × fitted L, so lingering costs a small, bounded
-  /// fraction of the latency it amortises.
-  double linger_frac = 0.125;
-  /// Below this fitted L the transport is loopback-grade and the window
-  /// snaps to zero: a lone query's latency must not pay for coalescing it
-  /// cannot benefit from. The calibrator's fit is the TOTAL per-round time
-  /// — transport plus the backend's per-batch compute, which alone reaches
-  /// ~100 µs for a full scan round on a slow core — so the floor sits well
-  /// above that; an entry worth amortising (FPGA/LAN round trips) fits
-  /// hundreds of microseconds.
-  uint64_t linger_floor_latency_ns = 200'000;
-  uint64_t max_linger_ns = 2'000'000;
   /// Conservative wire budget per merged entry, kept under net's
   /// kMaxFramePayload (64 MiB); a merged batch estimated past it is split
   /// into multiple entries (coalesce.overflow_splits).
@@ -73,18 +51,17 @@ struct RoundBusOptions {
 };
 
 /// The round bus (DESIGN.md §15): a per-oracle submission queue that merges
-/// concurrently in-flight probe rounds from *different* selections into one
-/// backend entry — one wire frame, one trusted-machine entry — within a
-/// linger window derived from the fitted round-trip latency.
+/// probe rounds from *different* selections into one backend entry — one
+/// wire frame, one trusted-machine entry — while the backend is busy.
 ///
-/// Protocol: Submit enqueues a round and returns a ticket; Await blocks on
-/// it. The first awaiting thread that finds no collection in progress
-/// elects itself collector, lingers with the lock released, then takes the
-/// whole queue as one batch, *releases the collector role before flushing*
-/// — so the next window opens while this entry is still on the wire,
-/// preserving the transport's pipelining — and scatter-gathers the bits
-/// back to every waiting round. Value-equal trapdoors referenced by
-/// different selections are sent once per entry (cross-request dedup).
+/// Protocol: at most one backend entry is in flight, because the trusted
+/// machine is one device that charges its latency per entry. A round
+/// submitted while nothing is in flight ships at once, verbatim. A round
+/// submitted while an entry is in flight queues; its owner parks in Await,
+/// and the first owner to wake after that entry returns elects itself
+/// collector and ships the whole queue as the next entry. There is no
+/// timer: merging grows exactly with load. Value-equal trapdoors referenced
+/// by different selections are sent once per entry (cross-request dedup).
 ///
 /// Counting: the bus enters the backend exclusively through the uncounted
 /// ServeEval* surface. All logical accounting stays with the caller's
@@ -106,7 +83,8 @@ class RoundBus {
   /// `key` becomes the round's ticket (caller-chosen, e.g. the oracle's
   /// ProbeTicket, avoiding a ticket-translation map); it must be unique
   /// among outstanding rounds and below 2^62 — internally allocated tickets
-  /// live above that line.
+  /// live above that line. When the bus is idle the round ships inline and
+  /// the ticket is already complete on return.
   uint64_t Submit(std::span<const edbms::ProbeRequest> reqs,
                   uint64_t key = 0);
 
@@ -116,28 +94,11 @@ class RoundBus {
   BitVector Await(uint64_t t);
 
   /// Submit + Await in one call, for the synchronous Eval* paths. When the
-  /// linger window is zero and nothing is queued or collecting, this skips
-  /// the ticket/scatter machinery entirely — there is nothing to merge with
-  /// and no window to hold for, so a lone loopback caller pays one mutex
-  /// acquisition over the uncoalesced path.
+  /// bus is idle this skips the ticket/scatter machinery entirely — there
+  /// is nothing to merge with — so a lone caller pays one mutex round trip
+  /// over the uncoalesced path.
   BitVector Exchange(std::span<const edbms::ProbeRequest> reqs);
 
-  /// Fast-path gate for the single-trapdoor Eval/EvalBatch forwards: when
-  /// the window is zero, nothing is queued or collecting, and the round fits
-  /// the entry budget, claims the round as one backend entry — all bus
-  /// accounting applied — and returns true; the caller then serves it on the
-  /// inner oracle's scalar/batch surface, skipping ProbeRequest
-  /// materialisation and the per-probe bit-vector the EvalMany path builds.
-  /// The decline path is one relaxed atomic load when a window is open.
-  bool TryDirect(const edbms::Trapdoor& td, size_t n);
-
-  /// Push-down of the calibrator's fitted round-trip latency; recomputes
-  /// the linger window per RoundBusOptions.
-  void SetFittedLatency(uint64_t rt_latency_ns);
-
-  uint64_t linger_ns() const {
-    return linger_ns_.load(std::memory_order_relaxed);
-  }
   /// EWMA logical-rounds-per-entry; 1.0 until the first flush.
   double factor() const;
 
@@ -148,7 +109,10 @@ class RoundBus {
     uint64_t merged_rounds = 0;
     uint64_t dedup_tds = 0;
     uint64_t overflow_splits = 0;
-    uint64_t linger_ns = 0;
+    /// Backend entries outstanding right now (0 or 1).
+    uint64_t in_flight = 0;
+    /// Rounds queued behind the in-flight entry right now.
+    uint64_t queued = 0;
     double factor = 1.0;
   };
   Stats stats() const;
@@ -161,9 +125,17 @@ class RoundBus {
     State state = kQueued;
   };
 
-  /// Collector role: linger (lock released), take the queue, flush it as
-  /// one-or-more backend entries, wake the owners. `lk` holds mu_ on entry
-  /// and exit.
+  /// Lone-round passthrough: when nothing is in flight or queued and the
+  /// round fits one entry, ships it verbatim as the in-flight entry — lock
+  /// released across the backend call — stores its bits in `out` and
+  /// returns true. `lk` holds mu_ on entry and exit.
+  bool TryPassThrough(std::unique_lock<std::mutex>& lk,
+                      std::span<const edbms::ProbeRequest> reqs,
+                      BitVector* out);
+
+  /// Collector role: claim the in-flight slot, take the whole queue, flush
+  /// it as one-or-more backend entries, wake the owners. `lk` holds mu_ on
+  /// entry and exit.
   void CollectAndFlush(std::unique_lock<std::mutex>& lk);
 
   /// Merges `batch` into chunked ServeEvalMany entries with trapdoor dedup
@@ -173,13 +145,13 @@ class RoundBus {
 
   edbms::QpfOracle* inner_;
   const RoundBusOptions opts_;
-  std::atomic<uint64_t> linger_ns_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   /// Internal tickets start above the caller-key range (see Submit).
   uint64_t next_ticket_ = uint64_t{1} << 62;
-  bool collecting_ = false;
+  /// The one backend entry the bus allows outstanding.
+  bool in_flight_ = false;
   std::vector<std::shared_ptr<Sub>> queue_;
   std::unordered_map<uint64_t, std::shared_ptr<Sub>> subs_;
   /// EWMA of batch-rounds / entries per flush; guarded by mu_.
@@ -224,9 +196,6 @@ class CoalescedEdbms : public edbms::Edbms {
 
   // --- Transport feedback ---------------------------------------------------
   double CoalescingFactor() const override { return bus_.factor(); }
-  void CalibrateTransport(uint64_t rt_latency_ns) override {
-    bus_.SetFittedLatency(rt_latency_ns);
-  }
 
   RoundBus& bus() { return bus_; }
   const RoundBus& bus() const { return bus_; }
@@ -234,7 +203,6 @@ class CoalescedEdbms : public edbms::Edbms {
 
  private:
   bool DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) override {
-    if (bus_.TryDirect(td, 1)) return inner_->ServeEval(td, tid);
     const edbms::ProbeRequest one{&td, tid};
     const BitVector bits = bus_.Exchange({&one, 1});
     return bits.size() == 1 && bits.Get(0);
@@ -242,9 +210,6 @@ class CoalescedEdbms : public edbms::Edbms {
   BitVector DoEvalBatch(const edbms::Trapdoor& td,
                         std::span<const edbms::TupleId> tids) override {
     if (tids.empty()) return BitVector();
-    if (bus_.TryDirect(td, tids.size())) {
-      return inner_->ServeEvalBatch(td, tids);
-    }
     std::vector<edbms::ProbeRequest> reqs;
     reqs.reserve(tids.size());
     for (const edbms::TupleId tid : tids) reqs.push_back({&td, tid});

@@ -1,11 +1,15 @@
 // Differential suite for the cross-query round bus (DESIGN.md §15): merged
 // entries must change *when* bits travel, never *which* bits — winners stay
 // byte-identical to an uncoalesced run and to the plaintext oracle, and
-// per-selection accounting is preserved exactly. The concurrent-submitter
-// cases double as the TSan target for the collector-election protocol.
+// per-selection accounting is preserved exactly. The bus keeps at most one
+// backend entry in flight and merges whatever queues behind it; a fake
+// backend that holds its first entry open makes those merges deterministic.
+// The concurrent-submitter cases double as the TSan target for the
+// collector-election protocol.
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -32,7 +36,10 @@ using net::CoalescedEdbms;
 using net::RoundBus;
 using net::RoundBusOptions;
 
-/// Deterministic Θ stand-in that records every backend entry it serves.
+/// Deterministic Θ stand-in that records every backend entry it serves and
+/// the most entries it ever saw in flight at once. HoldFirstEntry() makes the
+/// next entry block inside the backend until Release(), so a test can queue
+/// rounds behind it at will.
 class FakeOracle : public edbms::QpfOracle {
  public:
   static bool Formula(const Trapdoor& td, TupleId tid) {
@@ -48,9 +55,29 @@ class FakeOracle : public edbms::QpfOracle {
   uint64_t entries() const {
     return entries_.load(std::memory_order_relaxed);
   }
+  uint64_t max_in_flight() const {
+    return max_in_flight_.load(std::memory_order_relaxed);
+  }
   std::vector<std::vector<CapturedItem>> captured() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return captured_;
+  }
+
+  void HoldFirstEntry() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    hold_ = true;
+  }
+  /// Blocks until an entry is parked in the backend by HoldFirstEntry.
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void Release() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      hold_ = false;
+    }
+    cv_.notify_all();
   }
 
  private:
@@ -60,23 +87,38 @@ class FakeOracle : public edbms::QpfOracle {
   }
   BitVector DoEvalMany(std::span<const ProbeRequest> reqs) override {
     entries_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t now = in_flight_.fetch_add(1) + 1;
+    uint64_t seen = max_in_flight_.load();
+    while (seen < now && !max_in_flight_.compare_exchange_weak(seen, now)) {
+    }
     {
-      const std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
       auto& cap = captured_.emplace_back();
       cap.reserve(reqs.size());
       for (const ProbeRequest& r : reqs) {
         cap.push_back(CapturedItem{r.td, r.td->uid, r.tid});
+      }
+      if (hold_ && !held_) {
+        held_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return !hold_; });
       }
     }
     BitVector out(reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
       out.Assign(i, Formula(*reqs[i].td, reqs[i].tid));
     }
+    in_flight_.fetch_sub(1);
     return out;
   }
 
   std::atomic<uint64_t> entries_{0};
+  std::atomic<uint64_t> in_flight_{0};
+  std::atomic<uint64_t> max_in_flight_{0};
   mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool hold_ = false;
+  bool held_ = false;
   std::vector<std::vector<CapturedItem>> captured_;
 };
 
@@ -89,25 +131,58 @@ Trapdoor MakeFakeTrapdoor(uint64_t uid) {
   return td;
 }
 
+std::vector<ProbeRequest> RoundOf(const Trapdoor& td, TupleId first,
+                                  size_t n) {
+  std::vector<ProbeRequest> reqs;
+  for (size_t i = 0; i < n; ++i) {
+    reqs.push_back({&td, static_cast<TupleId>(first + i)});
+  }
+  return reqs;
+}
+
+bool MatchesFormula(const BitVector& bits,
+                    std::span<const ProbeRequest> reqs) {
+  if (bits.size() != reqs.size()) return false;
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    if (bits.Get(i) != FakeOracle::Formula(*reqs[i].td, reqs[i].tid)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Parks one round inside the fake backend as the bus's in-flight entry and
+/// returns the thread carrying it; join it after fake.Release().
+std::thread HoldOneEntry(FakeOracle& fake, RoundBus& bus,
+                         const std::vector<ProbeRequest>& reqs,
+                         std::atomic<bool>* ok) {
+  fake.HoldFirstEntry();
+  std::thread t([&bus, &reqs, ok] {
+    *ok = MatchesFormula(bus.Exchange(reqs), reqs);
+  });
+  fake.WaitUntilHeld();
+  return t;
+}
+
 TEST(RoundBusTest, LoneSubmissionIsPassthrough) {
   FakeOracle fake;
-  RoundBus bus(&fake);  // linger 0 until a fitted latency arrives
+  RoundBus bus(&fake);
 
   const Trapdoor td = MakeFakeTrapdoor(5);
-  std::vector<ProbeRequest> reqs;
-  for (TupleId tid = 0; tid < 9; ++tid) reqs.push_back({&td, tid});
+  const std::vector<ProbeRequest> reqs = RoundOf(td, 0, 9);
 
-  const BitVector bits = bus.Exchange(reqs);
-  ASSERT_EQ(bits.size(), reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(bits.Get(i), FakeOracle::Formula(td, reqs[i].tid));
-  }
-  EXPECT_EQ(fake.entries(), 1u);
+  EXPECT_TRUE(MatchesFormula(bus.Exchange(reqs), reqs));
+  // Submit on an idle bus ships inline too: the ticket is complete already.
+  const uint64_t t = bus.Submit(reqs);
+  EXPECT_EQ(fake.entries(), 2u);
+  EXPECT_TRUE(MatchesFormula(bus.Await(t), reqs));
+  EXPECT_EQ(fake.entries(), 2u);
   const RoundBus::Stats st = bus.stats();
-  EXPECT_EQ(st.rounds, 1u);
-  EXPECT_EQ(st.entries, 1u);
+  EXPECT_EQ(st.rounds, 2u);
+  EXPECT_EQ(st.entries, 2u);
   EXPECT_EQ(st.merged_rounds, 0u);
-  EXPECT_EQ(st.linger_ns, 0u);
+  EXPECT_EQ(st.in_flight, 0u);
+  EXPECT_EQ(st.queued, 0u);
 }
 
 TEST(RoundBusTest, DefaultSubmitAwaitMatchesEvalMany) {
@@ -132,28 +207,58 @@ TEST(RoundBusTest, DefaultSubmitAwaitMatchesEvalMany) {
   EXPECT_EQ(a.batches(), b.batches());
 }
 
-TEST(RoundBusTest, AdaptiveLingerFollowsFittedLatency) {
+TEST(RoundBusTest, RoundsQueuedBehindTheInFlightEntryShipAsOneEntry) {
   FakeOracle fake;
-  RoundBusOptions opts;  // defaults: adaptive, frac 1/8, floor 100µs
-  RoundBus bus(&fake, opts);
+  RoundBus bus(&fake);
+  const Trapdoor held_td = MakeFakeTrapdoor(40);
+  const std::vector<ProbeRequest> held = RoundOf(held_td, 0, 6);
+  std::atomic<bool> held_ok{false};
+  std::thread carrier = HoldOneEntry(fake, bus, held, &held_ok);
 
-  EXPECT_EQ(bus.linger_ns(), 0u);
-  bus.SetFittedLatency(10'000);  // loopback-grade: stays zero
-  EXPECT_EQ(bus.linger_ns(), 0u);
-  bus.SetFittedLatency(1'000'000);
-  EXPECT_EQ(bus.linger_ns(), 125'000u);
-  bus.SetFittedLatency(1'000'000'000);  // clamped
-  EXPECT_EQ(bus.linger_ns(), opts.max_linger_ns);
-  bus.SetFittedLatency(0);  // transport got fast again: back to passthrough
-  EXPECT_EQ(bus.linger_ns(), 0u);
+  // Three rounds arrive while the first entry is in flight: all queue.
+  std::vector<Trapdoor> tds;
+  for (uint64_t i = 0; i < 3; ++i) tds.push_back(MakeFakeTrapdoor(41 + i));
+  std::vector<std::vector<ProbeRequest>> rounds;
+  std::vector<uint64_t> tickets;
+  for (size_t i = 0; i < tds.size(); ++i) {
+    rounds.push_back(RoundOf(tds[i], static_cast<TupleId>(10 * i), 5));
+    tickets.push_back(bus.Submit(rounds.back()));
+  }
+  RoundBus::Stats st = bus.stats();
+  EXPECT_EQ(st.in_flight, 1u);
+  EXPECT_EQ(st.queued, 3u);
+  EXPECT_EQ(fake.entries(), 1u);
+
+  fake.Release();
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    EXPECT_TRUE(MatchesFormula(bus.Await(tickets[i]), rounds[i]));
+  }
+  carrier.join();
+  EXPECT_TRUE(held_ok.load());
+
+  // The held entry plus exactly one merged entry carrying all three rounds,
+  // in submission order.
+  EXPECT_EQ(fake.entries(), 2u);
+  EXPECT_EQ(fake.max_in_flight(), 1u);
+  const auto captured = fake.captured();
+  ASSERT_EQ(captured.size(), 2u);
+  ASSERT_EQ(captured[1].size(), 15u);
+  for (size_t i = 0; i < captured[1].size(); ++i) {
+    EXPECT_EQ(captured[1][i].uid, tds[i / 5].uid);
+    EXPECT_EQ(captured[1][i].tid, rounds[i / 5][i % 5].tid);
+  }
+  st = bus.stats();
+  EXPECT_EQ(st.rounds, 4u);
+  EXPECT_EQ(st.entries, 2u);
+  EXPECT_EQ(st.merged_rounds, 3u);
+  EXPECT_EQ(st.in_flight, 0u);
+  EXPECT_EQ(st.queued, 0u);
+  EXPECT_GT(bus.factor(), 1.0);
 }
 
 TEST(RoundBusTest, ConcurrentSubmittersMergeIntoFewerEntries) {
   FakeOracle fake;
-  RoundBusOptions opts;
-  opts.adaptive_linger = false;
-  opts.linger_ns = 5'000'000;  // 5ms: every thread's round lands in-window
-  RoundBus bus(&fake, opts);
+  RoundBus bus(&fake);
 
   constexpr size_t kThreads = 8;
   constexpr size_t kRoundsPerThread = 5;
@@ -165,88 +270,72 @@ TEST(RoundBusTest, ConcurrentSubmittersMergeIntoFewerEntries) {
     tds.push_back(MakeFakeTrapdoor(100 + i));
   }
 
-  std::atomic<size_t> ready{0};
+  // Whichever thread ships first parks in the backend until every other
+  // thread's first round has queued behind it, so at least those rounds
+  // must share one entry.
+  fake.HoldFirstEntry();
   std::atomic<uint64_t> wrong{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (size_t w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }
       for (size_t r = 0; r < kRoundsPerThread; ++r) {
-        std::vector<ProbeRequest> reqs;
-        reqs.reserve(kReqsPerRound);
-        for (size_t i = 0; i < kReqsPerRound; ++i) {
-          reqs.push_back(
-              {&tds[w], static_cast<TupleId>(r * kReqsPerRound + i)});
-        }
-        const BitVector bits = bus.Exchange(reqs);
-        if (bits.size() != reqs.size()) {
-          wrong.fetch_add(1);
-          continue;
-        }
-        for (size_t i = 0; i < reqs.size(); ++i) {
-          if (bits.Get(i) != FakeOracle::Formula(tds[w], reqs[i].tid)) {
-            wrong.fetch_add(1);
-          }
-        }
+        const std::vector<ProbeRequest> reqs = RoundOf(
+            tds[w], static_cast<TupleId>(r * kReqsPerRound), kReqsPerRound);
+        if (!MatchesFormula(bus.Exchange(reqs), reqs)) wrong.fetch_add(1);
       }
     });
   }
+  fake.WaitUntilHeld();
+  while (bus.stats().queued < kThreads - 1) std::this_thread::yield();
+  fake.Release();
   for (std::thread& t : workers) t.join();
 
   EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(fake.max_in_flight(), 1u);
   const RoundBus::Stats st = bus.stats();
   EXPECT_EQ(st.rounds, kThreads * kRoundsPerThread);
   EXPECT_EQ(st.requests, kThreads * kRoundsPerThread * kReqsPerRound);
-  // With a 5ms window and µs-scale rounds, concurrent selections must share
-  // entries; demanding ≤ half leaves wide scheduling headroom.
-  EXPECT_LE(fake.entries(), kThreads * kRoundsPerThread / 2);
-  EXPECT_GT(st.merged_rounds, 0u);
-  EXPECT_GT(bus.factor(), 1.0);
+  EXPECT_EQ(st.entries, fake.entries());
+  EXPECT_LE(fake.entries(), kThreads * kRoundsPerThread - (kThreads - 2));
+  EXPECT_GE(st.merged_rounds, kThreads - 1);
 }
 
 TEST(RoundBusTest, ValueEqualTrapdoorsDedupAcrossRequests) {
   FakeOracle fake;
-  RoundBusOptions opts;
-  // A nonzero window so Submit queues instead of taking the lone-caller
-  // passthrough; queue order then makes the merge deterministic.
-  opts.linger_ns = 2'000'000;
-  RoundBus bus(&fake, opts);
+  RoundBus bus(&fake);
+  const Trapdoor held_td = MakeFakeTrapdoor(76);
+  const std::vector<ProbeRequest> held = RoundOf(held_td, 0, 2);
+  std::atomic<bool> held_ok{false};
+  std::thread carrier = HoldOneEntry(fake, bus, held, &held_ok);
+
   const Trapdoor original = MakeFakeTrapdoor(77);
   const Trapdoor copy = original;  // value-equal, distinct address
   ASSERT_NE(&original, &copy);
+  const std::vector<ProbeRequest> r1 = RoundOf(original, 0, 4);
+  const std::vector<ProbeRequest> r2 = RoundOf(copy, 4, 4);
 
-  std::vector<ProbeRequest> r1;
-  std::vector<ProbeRequest> r2;
-  for (TupleId tid = 0; tid < 4; ++tid) r1.push_back({&original, tid});
-  for (TupleId tid = 4; tid < 8; ++tid) r2.push_back({&copy, tid});
-
-  // Two rounds queued before any Await: the first waiter collects both into
-  // one entry.
+  // Both rounds queue behind the held entry and ship together after it.
   const uint64_t t1 = bus.Submit(r1);
   const uint64_t t2 = bus.Submit(r2);
-  const BitVector b1 = bus.Await(t1);
-  const BitVector b2 = bus.Await(t2);
+  fake.Release();
+  EXPECT_TRUE(MatchesFormula(bus.Await(t1), r1));
+  EXPECT_TRUE(MatchesFormula(bus.Await(t2), r2));
+  carrier.join();
+  EXPECT_TRUE(held_ok.load());
 
-  ASSERT_EQ(b1.size(), 4u);
-  ASSERT_EQ(b2.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(b1.Get(i), FakeOracle::Formula(original, i));
-    EXPECT_EQ(b2.Get(i), FakeOracle::Formula(copy, i + 4));
-  }
-  EXPECT_EQ(fake.entries(), 1u);
+  EXPECT_EQ(fake.entries(), 2u);
   const auto captured = fake.captured();
-  ASSERT_EQ(captured.size(), 1u);
+  ASSERT_EQ(captured.size(), 2u);
+  ASSERT_EQ(captured[1].size(), 8u);
   // The merged entry references one canonical trapdoor for both selections.
-  const Trapdoor* canon = captured[0][0].td;
-  for (const auto& item : captured[0]) {
+  const Trapdoor* canon = captured[1][0].td;
+  for (const auto& item : captured[1]) {
     EXPECT_EQ(item.td, canon);
     EXPECT_EQ(item.uid, original.uid);
   }
-  EXPECT_GE(bus.stats().dedup_tds, 1u);
-  EXPECT_GE(bus.stats().merged_rounds, 2u);
+  EXPECT_EQ(bus.stats().dedup_tds, 1u);
+  EXPECT_EQ(bus.stats().merged_rounds, 2u);
 }
 
 TEST(RoundBusTest, OverflowSplitsStayUnderTheEntryBudget) {
@@ -324,6 +413,7 @@ TEST(CoalescedEdbmsTest, WinnersAndAccountingMatchUncoalescedAndPlaintext) {
   }
 }
 
+// The bus never lingers, so a lone stream sees linger-zero behaviour.
 TEST(CoalescedEdbmsTest, LingerZeroPassthroughThroughPrkbIndex) {
   workload::SyntheticSpec spec;
   spec.rows = 5000;
@@ -331,7 +421,6 @@ TEST(CoalescedEdbmsTest, LingerZeroPassthroughThroughPrkbIndex) {
   const auto plain = workload::MakeSyntheticTable(spec);
   auto db = edbms::CipherbaseEdbms::FromPlainTable(5, plain);
   CoalescedEdbms bus_db(&db);
-  EXPECT_EQ(bus_db.bus().linger_ns(), 0u);
   EXPECT_EQ(bus_db.CoalescingFactor(), 1.0);
 
   core::PrkbIndex index(&bus_db, core::PrkbOptions{.seed = 3});
@@ -348,25 +437,23 @@ TEST(CoalescedEdbmsTest, LingerZeroPassthroughThroughPrkbIndex) {
     }
     ASSERT_EQ(got, want) << "query " << q;
   }
-  // Single-stream, linger 0: every round flushed alone.
+  // Single stream: no round ever finds an entry in flight, so every round
+  // passes straight through as its own entry.
   const RoundBus::Stats st = bus_db.bus().stats();
   EXPECT_EQ(st.rounds, st.entries);
   EXPECT_EQ(st.merged_rounds, 0u);
 }
 
 TEST(CoalescedEdbmsTest, ConcurrentSelectionsStayExact) {
-  // TSan target: many selections through one bus with a real linger window,
-  // against ConcurrentPrkbIndex's shared-lock fast paths.
+  // TSan target: many selections merging through one bus, against
+  // ConcurrentPrkbIndex's shared-lock fast paths.
   workload::SyntheticSpec spec;
   spec.rows = 3000;
   spec.attrs = 4;
   spec.seed = 73;
   const auto plain = workload::MakeSyntheticTable(spec);
   auto db = edbms::CipherbaseEdbms::FromPlainTable(7, plain);
-  RoundBusOptions opts;
-  opts.adaptive_linger = false;
-  opts.linger_ns = 50'000;
-  CoalescedEdbms bus_db(&db, opts);
+  CoalescedEdbms bus_db(&db);
 
   core::ConcurrentPrkbIndex index(&bus_db, core::PrkbOptions{.seed = 5});
   for (edbms::AttrId a = 0; a < 4; ++a) index.EnableAttr(a);

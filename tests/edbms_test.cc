@@ -1,3 +1,4 @@
+#include <thread>
 #include <vector>
 
 #include "edbms/cipherbase_qpf.h"
@@ -98,6 +99,53 @@ TEST(EncryptionTest, TrapdoorBoundToAttrAndKind) {
   EXPECT_FALSE(ok);
 }
 
+TEST(TrustedMachineTest, VerifiedCacheStaysBoundedAndExact) {
+  DataOwner owner(kSeed);
+  TrustedMachine tm(kSeed);
+  const auto cells = owner.EncryptRow({-3, 0, 7, 1000});
+  const Value plain[] = {-3, 0, 7, 1000};
+  constexpr size_t kIssued = 3 * TrustedMachine::kVerifiedCacheCapacity + 17;
+  for (size_t i = 0; i < kIssued; ++i) {
+    const Value c = static_cast<Value>(i % 11) - 2;
+    const Trapdoor td = owner.MakeComparison(0, CompareOp::kLe, c);
+    for (size_t j = 0; j < cells.size(); ++j) {
+      bool ok = false;
+      ASSERT_EQ(tm.EvalPredicate(td, cells[j], &ok), plain[j] <= c)
+          << "trapdoor " << i;
+      ASSERT_TRUE(ok);
+    }
+    ASSERT_LE(tm.verified_cache_size(),
+              TrustedMachine::kVerifiedCacheCapacity);
+  }
+  EXPECT_EQ(tm.verified_cache_size(), TrustedMachine::kVerifiedCacheCapacity);
+}
+
+TEST(TrustedMachineTest, ForgedTrapdoorRejectedCachedOrEvicted) {
+  DataOwner owner(kSeed);
+  TrustedMachine tm(kSeed);
+  const auto cell = owner.EncryptRow({1})[0];
+  const Trapdoor genuine = owner.MakeComparison(0, CompareOp::kLt, 7);
+  Trapdoor forged = genuine;  // same uid, tampered sealed bytes
+  forged.blob[12] ^= 0x01;
+
+  bool ok = false;
+  EXPECT_TRUE(tm.EvalPredicate(genuine, cell, &ok));
+  EXPECT_TRUE(ok);
+  // While the genuine trapdoor is cached, its uid alone must not vouch for
+  // a tampered copy.
+  tm.EvalPredicate(forged, cell, &ok);
+  EXPECT_FALSE(ok);
+
+  // Evict it by filling every slot with other trapdoors.
+  for (size_t i = 0; i < TrustedMachine::kVerifiedCacheCapacity; ++i) {
+    tm.EvalPredicate(owner.MakeComparison(0, CompareOp::kGt, 0), cell);
+  }
+  tm.EvalPredicate(forged, cell, &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(tm.EvalPredicate(genuine, cell, &ok));
+  EXPECT_TRUE(ok);
+}
+
 // --------------------------------------------------------------- Backends
 
 template <typename T>
@@ -143,6 +191,64 @@ TYPED_TEST(EdbmsBackendTest, BetweenQpfMatchesPlainEvaluation) {
   for (TupleId tid = 0; tid < plain.num_rows(); ++tid) {
     EXPECT_EQ(db.Eval(td, tid), p.Satisfies(plain.at(1, tid)));
   }
+}
+
+TYPED_TEST(EdbmsBackendTest, EvalManyOpensInterleavedTrapdoorsExactly) {
+  const PlainTable plain = SmallTable();
+  auto db = TestFixture::MakeDb(plain);
+  const Trapdoor lt = db.MakeComparison(0, CompareOp::kLt, 15);
+  const Trapdoor between = db.MakeBetween(1, 40, 120);
+  Trapdoor forged = db.MakeComparison(0, CompareOp::kGt, -100);
+  forged.blob[9] ^= 0x80;
+  const PlainPredicate p_lt{.attr = 0, .op = CompareOp::kLt, .lo = 15};
+  const PlainPredicate p_between{
+      .attr = 1, .kind = PredicateKind::kBetween, .lo = 40, .hi = 120};
+
+  std::vector<ProbeRequest> reqs;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (TupleId tid = 0; tid < plain.num_rows(); ++tid) {
+      reqs.push_back({&lt, tid});
+      reqs.push_back({&between, tid});
+      reqs.push_back({&forged, tid});
+    }
+  }
+  const BitVector bits = db.EvalMany(reqs);
+  ASSERT_EQ(bits.size(), reqs.size());
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const TupleId tid = reqs[i].tid;
+    if (reqs[i].td == &lt) {
+      EXPECT_EQ(bits.Get(i), p_lt.Satisfies(plain.at(0, tid))) << i;
+    } else if (reqs[i].td == &between) {
+      EXPECT_EQ(bits.Get(i), p_between.Satisfies(plain.at(1, tid))) << i;
+    } else {
+      EXPECT_FALSE(bits.Get(i)) << "forged lane " << i;
+    }
+  }
+}
+
+TYPED_TEST(EdbmsBackendTest, EvaluatesWhileIssuing) {
+  // Issuing trapdoors must not race with evaluating earlier ones: neither
+  // backend keeps a per-trapdoor table that issuing writes.
+  const PlainTable plain = SmallTable();
+  auto db = TestFixture::MakeDb(plain);
+  std::vector<Trapdoor> tds;
+  for (Value c = -10; c < 30; ++c) {
+    tds.push_back(db.MakeComparison(0, CompareOp::kLt, c));
+  }
+  std::thread issuer([&db] {
+    for (int i = 0; i < 2000; ++i) db.MakeComparison(1, CompareOp::kGt, i);
+  });
+  size_t wrong = 0;
+  for (int rep = 0; rep < 20; ++rep) {
+    for (size_t i = 0; i < tds.size(); ++i) {
+      const Value c = static_cast<Value>(i) - 10;
+      for (TupleId tid = 0; tid < plain.num_rows(); ++tid) {
+        if (db.Eval(tds[i], tid) != (plain.at(0, tid) < c)) ++wrong;
+      }
+    }
+  }
+  issuer.join();
+  EXPECT_EQ(wrong, 0u);
 }
 
 TYPED_TEST(EdbmsBackendTest, UsesCounterCountsEveryEval) {

@@ -6,6 +6,7 @@
 //    distribution (the paper's footnote 10: uniform/normal/correlated/
 //    anti-correlated behave alike).
 
+#include <type_traits>
 #include <vector>
 
 #include "edbms/cipherbase_qpf.h"
@@ -133,10 +134,15 @@ TEST(IoFuzzTest, MutatedSnapshotsErrorOutCleanly) {
   std::remove(path.c_str());
 }
 
+// CTest names each case after the printed bytes of its parameter, so the
+// struct has no implicit padding: `pad` keeps those bytes (and the names)
+// the same from build to build instead of whatever the stack held.
 struct DistCase {
   workload::Distribution dist;
+  uint32_t pad;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<DistCase>);
 
 class DistributionSweepTest : public ::testing::TestWithParam<DistCase> {};
 
@@ -169,12 +175,12 @@ TEST_P(DistributionSweepTest, ExactForEveryDistribution) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DistributionSweepTest,
-    ::testing::Values(DistCase{workload::Distribution::kUniform, 1},
-                      DistCase{workload::Distribution::kNormal, 2},
-                      DistCase{workload::Distribution::kCorrelated, 3},
-                      DistCase{workload::Distribution::kAntiCorrelated, 4},
-                      DistCase{workload::Distribution::kZipf, 5},
-                      DistCase{workload::Distribution::kLogNormal, 6}));
+    ::testing::Values(DistCase{workload::Distribution::kUniform, 0, 1},
+                      DistCase{workload::Distribution::kNormal, 0, 2},
+                      DistCase{workload::Distribution::kCorrelated, 0, 3},
+                      DistCase{workload::Distribution::kAntiCorrelated, 0, 4},
+                      DistCase{workload::Distribution::kZipf, 0, 5},
+                      DistCase{workload::Distribution::kLogNormal, 0, 6}));
 
 }  // namespace
 }  // namespace prkb::core

@@ -19,8 +19,9 @@
 //   .wal              durability status: log/snapshot sizes, appended and
 //                     replayed record counts, fsyncs, compactions
 //                     (requires --wal-dir)
-//   .bus              round-bus state: live coalescing factor, linger
-//                     window, rounds/requests carried, backend entries,
+//   .bus              round-bus state: live coalescing factor, backend
+//                     entries in flight and rounds queued behind them,
+//                     rounds/requests carried, backend entries,
 //                     merged rounds, cross-request trapdoor dedups and
 //                     overflow splits (requires --bus); with --remote, also
 //                     the serving process's net.*/qpf.* counters over the
@@ -454,12 +455,14 @@ int main(int argc, char** argv) {
         } else {
           const net::RoundBus::Stats bs = bus_db->bus().stats();
           std::printf(
-              "round bus: factor %.2fx, linger %llu ns\n"
+              "round bus: factor %.2fx, %llu entr(ies) in flight, %llu "
+              "round(s) queued\n"
               "  %llu round(s) / %llu request(s) over %llu backend "
               "entr(ies)\n"
               "  %llu merged round(s), %llu trapdoor dedup(s), %llu "
               "overflow split(s)\n",
-              bs.factor, static_cast<unsigned long long>(bs.linger_ns),
+              bs.factor, static_cast<unsigned long long>(bs.in_flight),
+              static_cast<unsigned long long>(bs.queued),
               static_cast<unsigned long long>(bs.rounds),
               static_cast<unsigned long long>(bs.requests),
               static_cast<unsigned long long>(bs.entries),
