@@ -91,7 +91,9 @@ Status Decoder::GetVarint(uint64_t* out) {
 Status Decoder::GetBytes(std::vector<uint8_t>* out) {
   uint64_t n = 0;
   PRKB_RETURN_IF_ERROR(GetVarint(&n));
-  if (pos_ + n > size_) return Status::Corruption("truncated bytes");
+  // n comes off the wire: compare against what is left, never pos_ + n,
+  // which wraps for a hostile length near 2^64.
+  if (n > size_ - pos_) return Status::Corruption("truncated bytes");
   out->assign(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
   return Status::Ok();
@@ -100,7 +102,7 @@ Status Decoder::GetBytes(std::vector<uint8_t>* out) {
 Status Decoder::GetString(std::string* out) {
   uint64_t n = 0;
   PRKB_RETURN_IF_ERROR(GetVarint(&n));
-  if (pos_ + n > size_) return Status::Corruption("truncated string");
+  if (n > size_ - pos_) return Status::Corruption("truncated string");
   out->assign(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return Status::Ok();

@@ -13,7 +13,7 @@ namespace prkb {
 
 /// Small fixed-size worker pool for data-parallel scan work. Threads are
 /// started once and reused; the intended consumers are batched QPF scans,
-/// where each task issues one EvalBatch round trip and the pool keeps several
+/// where each task issues one EvalMany round trip and the pool keeps several
 /// round trips in flight concurrently.
 class ThreadPool {
  public:

@@ -9,18 +9,19 @@
 
 namespace prkb::edbms {
 
-/// How scan loops consume the QPF: scalar per-tuple calls (the paper's
-/// literal model), chunked batch round trips, and optionally several batch
-/// round trips kept in flight concurrently by the shared thread pool.
+/// How scan loops consume the QPF: one-tuple rounds (the paper's literal
+/// model), chunked batch round trips, and optionally several batch round
+/// trips kept in flight concurrently by the shared thread pool.
 ///
 /// Neither knob changes which (trapdoor, tuple) pairs are evaluated on the
 /// exhaustive scan paths — only how the evaluations are packaged — so QPF-use
 /// counts and leakage are identical to the scalar path.
 struct BatchPolicy {
-  /// Tuples per EvalBatch round trip. <= 1 selects the scalar legacy loop.
+  /// Tuples per QPF round (QpfOracle::EvalMany). <= 1 ships one tuple per
+  /// round, the paper's scalar loop.
   size_t batch_size = 1;
   /// Threads issuing batches concurrently (including the caller). <= 1 keeps
-  /// scans single-threaded.
+  /// scans single-threaded; one-tuple rounds always stay single-threaded.
   size_t workers = 1;
 
   bool batched() const { return batch_size > 1; }

@@ -30,32 +30,15 @@ Trapdoor CipherbaseEdbms::MakeBetween(AttrId attr, Value lo, Value hi) {
   return do_.MakeBetween(attr, lo, hi);
 }
 
-bool CipherbaseEdbms::DoEval(const Trapdoor& td, TupleId tid) {
-  return tm_.EvalPredicate(td, table_.at(td.attr, tid));
-}
-
-BitVector CipherbaseEdbms::DoEvalBatch(const Trapdoor& td,
-                                       std::span<const TupleId> tids) {
-  // Gather the batch's ciphertexts and ship them into the TM in one round
-  // trip (Cipherbase-style predicate batching).
-  std::vector<const EncValue*> cells;
-  cells.reserve(tids.size());
-  for (TupleId tid : tids) cells.push_back(&table_.at(td.attr, tid));
-  return tm_.EvalPredicateBatch(td, cells);
-}
-
 BitVector CipherbaseEdbms::DoEvalMany(std::span<const ProbeRequest> reqs) {
-  // Fused probe round: each lane carries its own trapdoor, so the gather
-  // pairs every ciphertext with its predicate before the single TM entry.
-  std::vector<const Trapdoor*> tds;
+  // One TM entry per round (Cipherbase-style predicate batching): gather
+  // each lane's ciphertext, then the TM decrypts and compares in bulk.
   std::vector<const EncValue*> cells;
-  tds.reserve(reqs.size());
   cells.reserve(reqs.size());
   for (const ProbeRequest& r : reqs) {
-    tds.push_back(r.td);
     cells.push_back(&table_.at(r.td->attr, r.tid));
   }
-  return tm_.EvalPredicateMulti(tds, cells);
+  return tm_.EvalPredicateMulti(reqs, cells);
 }
 
 }  // namespace prkb::edbms

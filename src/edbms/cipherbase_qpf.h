@@ -40,9 +40,6 @@ class CipherbaseEdbms : public Edbms {
   const EncryptedTable& table() const { return table_; }
 
  private:
-  bool DoEval(const Trapdoor& td, TupleId tid) override;
-  BitVector DoEvalBatch(const Trapdoor& td,
-                        std::span<const TupleId> tids) override;
   BitVector DoEvalMany(std::span<const ProbeRequest> reqs) override;
 
   DataOwner do_;

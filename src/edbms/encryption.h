@@ -55,6 +55,16 @@ struct Trapdoor {
   std::vector<uint8_t> blob;
 };
 
+/// One lane of a QPF round (QpfOracle::EvalMany): which predicate to apply
+/// to which tuple. A scan chunk fills a span of these with one trapdoor; the
+/// probe scheduler (src/prkb/probe_sched.h) fills one per search round so
+/// concurrent searches — the m−1 pivots of an m-ary QFilter, both BETWEEN
+/// end-searches, every PRKB(MD) dimension — share a single round trip.
+struct ProbeRequest {
+  const Trapdoor* td;
+  TupleId tid;
+};
+
 /// Byte layout of the sealed trapdoor payload.
 struct TrapdoorPayload {
   CompareOp op;
@@ -80,26 +90,42 @@ bool OpenTrapdoor(const crypto::AesCtr& cipher, const crypto::HmacSha256& mac,
 
 /// Opens each distinct trapdoor of one multi-trapdoor entry once, however
 /// many lanes carry it. Lanes usually come in runs of one trapdoor, so a run
-/// costs a pointer compare per lane and one hash lookup. `T` is the opened
-/// form; `open` returns std::optional<T>, empty for a forged trapdoor.
+/// costs a pointer compare per lane; the first trapdoor is held inline, and
+/// only a second distinct one pays a hash lookup (and allocation). `T` is
+/// the opened form; `open` returns std::optional<T>, empty for a forged
+/// trapdoor.
 template <typename T>
 class OpenOncePerEntry {
  public:
   template <typename OpenFn>
   const std::optional<T>& Get(const Trapdoor* td, OpenFn&& open) {
-    if (td != last_td_) {
-      auto [it, fresh] = opened_.try_emplace(td);
+    if (td == last_td_) return *last_;
+    if (first_td_ == nullptr) {
+      first_td_ = td;
+      first_ = open(*td);
+      last_ = &first_;
+    } else if (td == first_td_) {
+      last_ = &first_;
+    } else {
+      auto [it, fresh] = more_.try_emplace(td);
       if (fresh) it->second = open(*td);
-      last_td_ = td;
       last_ = &it->second;
     }
+    last_td_ = td;
     return *last_;
+  }
+
+  /// Distinct trapdoors seen so far in this entry.
+  size_t distinct() const {
+    return (first_td_ == nullptr ? 0 : 1) + more_.size();
   }
 
  private:
   const Trapdoor* last_td_ = nullptr;
   const std::optional<T>* last_ = nullptr;
-  std::unordered_map<const Trapdoor*, std::optional<T>> opened_;
+  const Trapdoor* first_td_ = nullptr;
+  std::optional<T> first_;
+  std::unordered_map<const Trapdoor*, std::optional<T>> more_;
 };
 
 }  // namespace prkb::edbms

@@ -47,25 +47,8 @@ class RecordingEdbms : public Edbms {
   size_t StoredBytes() const override { return inner_->StoredBytes(); }
 
  private:
-  bool DoEval(const Trapdoor& td, TupleId tid) override {
-    const bool out = inner_->Eval(td, tid);
-    transcript_->entries.push_back(
-        QpfTranscript::Entry{td.uid, tid, out});
-    return out;
-  }
-
-  // Forward batches as batches (so the inner backend amortises its round
-  // trip) while still logging every observed bit in order.
-  BitVector DoEvalBatch(const Trapdoor& td,
-                        std::span<const TupleId> tids) override {
-    BitVector out = inner_->EvalBatch(td, tids);
-    for (size_t i = 0; i < tids.size(); ++i) {
-      transcript_->entries.push_back(
-          QpfTranscript::Entry{td.uid, tids[i], out.Get(i)});
-    }
-    return out;
-  }
-
+  // Forward rounds as rounds (so the inner backend amortises its round
+  // trip) while logging every observed bit in order.
   BitVector DoEvalMany(std::span<const ProbeRequest> reqs) override {
     BitVector out = inner_->EvalMany(reqs);
     for (size_t i = 0; i < reqs.size(); ++i) {
@@ -116,13 +99,17 @@ class ReplayEdbms : public Edbms {
     return uid * 0x100000000ULL + tid;
   }
 
-  bool DoEval(const Trapdoor& td, TupleId tid) override {
-    const auto it = outputs_.find(Key(td.uid, tid));
-    if (it == outputs_.end()) {
-      ++misses_;
-      return false;
+  BitVector DoEvalMany(std::span<const ProbeRequest> reqs) override {
+    BitVector out(reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      const auto it = outputs_.find(Key(reqs[i].td->uid, reqs[i].tid));
+      if (it == outputs_.end()) {
+        ++misses_;
+      } else {
+        out.Assign(i, it->second);
+      }
     }
-    return it->second;
+    return out;
   }
 
   size_t num_attrs_;

@@ -71,49 +71,10 @@ bool SdbEdbms::Reconstruct(const Trapdoor& td, const PlainPredicate& pred,
   return pred.Satisfies(static_cast<Value>(share - mask));
 }
 
-bool SdbEdbms::DoEval(const Trapdoor& td, TupleId tid) {
-  // One request/response round: share + ids out, one bit back.
-  const uint64_t nbytes =
-      sizeof(uint64_t) + sizeof(TupleId) + sizeof(uint64_t) + 1;
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(nbytes, std::memory_order_relaxed);
-  SdbMetrics::Get().rounds->Add(1);
-  SdbMetrics::Get().bytes->Add(nbytes);
-  SimulateLatency();
-  const std::optional<PlainPredicate> pred = do_.OpenPredicate(td);
-  return pred && Reconstruct(td, *pred, tid);
-}
-
-BitVector SdbEdbms::DoEvalBatch(const Trapdoor& td,
-                                std::span<const TupleId> tids) {
-  // One MPC round for the whole batch: all shares and ids travel in a single
-  // request, the trapdoor uid once, and the answer is one packed bit vector.
-  const uint64_t nbytes = tids.size() * (sizeof(uint64_t) + sizeof(TupleId)) +
-                          sizeof(uint64_t) + (tids.size() + 7) / 8;
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(nbytes, std::memory_order_relaxed);
-  SdbMetrics::Get().rounds->Add(1);
-  SdbMetrics::Get().bytes->Add(nbytes);
-  SimulateLatency();
-  BitVector out(tids.size());
-  const std::optional<PlainPredicate> pred = do_.OpenPredicate(td);
-  if (!pred) return out;  // forged trapdoor: every lane false
-  for (size_t i = 0; i < tids.size(); ++i) {
-    out.Assign(i, Reconstruct(td, *pred, tids[i]));
-  }
-  return out;
-}
-
 BitVector SdbEdbms::DoEvalMany(std::span<const ProbeRequest> reqs) {
-  // One MPC round for a fused probe batch. Unlike DoEvalBatch the trapdoor
-  // uid travels per lane (each request may name a different predicate).
-  const uint64_t nbytes =
-      reqs.size() * (sizeof(uint64_t) + sizeof(TupleId) + sizeof(uint64_t)) +
-      (reqs.size() + 7) / 8;
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(nbytes, std::memory_order_relaxed);
-  SdbMetrics::Get().rounds->Add(1);
-  SdbMetrics::Get().bytes->Add(nbytes);
+  // One MPC round: every lane's share and tuple id travel in a single
+  // request, each distinct trapdoor's uid once, and the answer is one packed
+  // bit vector.
   SimulateLatency();
   BitVector out(reqs.size());
   OpenOncePerEntry<PlainPredicate> opened;
@@ -124,6 +85,13 @@ BitVector SdbEdbms::DoEvalMany(std::span<const ProbeRequest> reqs) {
     const std::optional<PlainPredicate>& pred = opened.Get(reqs[i].td, open);
     if (pred) out.Assign(i, Reconstruct(*reqs[i].td, *pred, reqs[i].tid));
   }
+  const uint64_t nbytes =
+      reqs.size() * (sizeof(uint64_t) + sizeof(TupleId)) +
+      opened.distinct() * sizeof(uint64_t) + (reqs.size() + 7) / 8;
+  rounds_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(nbytes, std::memory_order_relaxed);
+  SdbMetrics::Get().rounds->Add(1);
+  SdbMetrics::Get().bytes->Add(nbytes);
   return out;
 }
 

@@ -57,7 +57,7 @@ class SdbEdbms : public Edbms {
     return num_rows() * num_attrs() * sizeof(uint64_t);
   }
 
-  /// MPC accounting. One batch evaluation costs one round: the SP packs the
+  /// MPC accounting. One QPF round costs one MPC round: the SP packs the
   /// whole share vector into a single request and gets a bit vector back.
   uint64_t rounds() const { return rounds_.load(std::memory_order_relaxed); }
   uint64_t bytes_transferred() const {
@@ -77,9 +77,6 @@ class SdbEdbms : public Edbms {
   }
 
  private:
-  bool DoEval(const Trapdoor& td, TupleId tid) override;
-  BitVector DoEvalBatch(const Trapdoor& td,
-                        std::span<const TupleId> tids) override;
   BitVector DoEvalMany(std::span<const ProbeRequest> reqs) override;
   void SimulateLatency() const;
   bool Reconstruct(const Trapdoor& td, const PlainPredicate& pred,

@@ -13,10 +13,10 @@ namespace prkb::edbms {
 /// plus the transport-level breakdown the batched pipeline amortises.
 struct SelectionStats {
   uint64_t qpf_uses = 0;
-  /// Backend entries paid for: scalar QPF calls plus batch calls. This is
-  /// the unit per-round-trip latency is charged on.
+  /// QPF rounds paid for (one backend entry each). This is the unit
+  /// per-round-trip latency is charged on.
   uint64_t qpf_round_trips = 0;
-  /// Of which batched (EvalBatch) calls.
+  /// Of which rounds carried two or more requests.
   uint64_t qpf_batches = 0;
   /// Repeat-predicate fast-path outcomes attributed to this operation. The
   /// deltas come from the process-global `prkb.cache.{hits,misses}` counters,

@@ -92,46 +92,8 @@ bool TrustedMachine::Compare(const TrapdoorPayload& p, PredicateKind kind,
   return false;
 }
 
-bool TrustedMachine::EvalPredicate(const Trapdoor& td, const EncValue& cell,
-                                   bool* ok) {
-  predicate_evals_.fetch_add(1, std::memory_order_relaxed);
-  round_trips_.fetch_add(1, std::memory_order_relaxed);
-  TmMetrics::Get().entries->Add(1);
-  TmMetrics::Get().evals->Add(1);
-  SimulateLatency();
-  const std::optional<TrapdoorPayload> p = Open(td);
-  if (!p) {
-    if (ok != nullptr) *ok = false;
-    return false;
-  }
-  if (ok != nullptr) *ok = true;
-  return Compare(*p, td.kind, cell);
-}
-
-BitVector TrustedMachine::EvalPredicateBatch(
-    const Trapdoor& td, std::span<const EncValue* const> cells, bool* ok) {
-  BitVector out(cells.size());
-  predicate_evals_.fetch_add(cells.size(), std::memory_order_relaxed);
-  round_trips_.fetch_add(1, std::memory_order_relaxed);
-  const TmMetrics& m = TmMetrics::Get();
-  m.entries->Add(1);
-  m.evals->Add(cells.size());
-  m.batch_cells->Record(cells.size());
-  SimulateLatency();  // the whole batch travels in one round trip
-  const std::optional<TrapdoorPayload> p = Open(td);
-  if (!p) {
-    if (ok != nullptr) *ok = false;
-    return out;
-  }
-  if (ok != nullptr) *ok = true;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    out.Assign(i, Compare(*p, td.kind, *cells[i]));
-  }
-  return out;
-}
-
 BitVector TrustedMachine::EvalPredicateMulti(
-    std::span<const Trapdoor* const> tds,
+    std::span<const ProbeRequest> reqs,
     std::span<const EncValue* const> cells, bool* ok) {
   BitVector out(cells.size());
   predicate_evals_.fetch_add(cells.size(), std::memory_order_relaxed);
@@ -139,18 +101,18 @@ BitVector TrustedMachine::EvalPredicateMulti(
   const TmMetrics& m = TmMetrics::Get();
   m.entries->Add(1);
   m.evals->Add(cells.size());
-  m.batch_cells->Record(cells.size());
-  SimulateLatency();  // the whole fused round travels in one round trip
+  if (cells.size() >= 2) m.batch_cells->Record(cells.size());
+  SimulateLatency();  // the whole round travels in one round trip
   bool all_ok = true;
   OpenOncePerEntry<TrapdoorPayload> opened;
   const auto open = [this](const Trapdoor& td) { return Open(td); };
   for (size_t i = 0; i < cells.size(); ++i) {
-    const std::optional<TrapdoorPayload>& p = opened.Get(tds[i], open);
+    const std::optional<TrapdoorPayload>& p = opened.Get(reqs[i].td, open);
     if (!p) {
       all_ok = false;
       continue;  // lane stays false
     }
-    out.Assign(i, Compare(*p, tds[i]->kind, *cells[i]));
+    out.Assign(i, Compare(*p, reqs[i].td->kind, *cells[i]));
   }
   if (ok != nullptr) *ok = all_ok;
   return out;

@@ -30,11 +30,11 @@ namespace prkb::edbms {
 /// trip. Both the paper's cost metrics are preserved: the call count, and a
 /// per-call cost that dwarfs a plain comparison.
 ///
-/// Entries come in two granularities: scalar EvalPredicate (one round trip
-/// per tuple) and EvalPredicateBatch (one round trip for a whole ciphertext
-/// batch, bulk AES-CTR decrypt inside). Counters are atomic and the verified
-/// trapdoor cache is lock-protected so parallel scan workers can drive one TM
-/// concurrently.
+/// Θ enters through one predicate entry, EvalPredicateMulti: one round trip
+/// for a whole batch of (trapdoor, ciphertext) cells, bulk decrypt-and-compare
+/// inside; a scalar evaluation is a one-cell entry. Counters are atomic and
+/// the verified trapdoor cache is lock-protected so parallel scan workers can
+/// drive one TM concurrently.
 class TrustedMachine {
  public:
   /// Slots in the verified-trapdoor cache. Fixed, so the TM's memory does
@@ -60,26 +60,15 @@ class TrustedMachine {
         round_trips_(other.round_trips_.load(std::memory_order_relaxed)),
         latency_(other.latency_) {}
 
-  /// Θ's inner worker: verifies the trapdoor, decrypts the cell, compares.
-  /// Returns false (and sets ok=false if provided) on a forged trapdoor.
-  bool EvalPredicate(const Trapdoor& td, const EncValue& cell,
-                     bool* ok = nullptr);
-
-  /// Batched TM entry: one simulated round trip for the whole batch, then a
-  /// bulk decrypt-and-compare of every cell. Bit i of the result corresponds
-  /// to cells[i]. Counts |cells| predicate evaluations but a single round
-  /// trip. All bits are false (ok=false) on a forged trapdoor.
-  BitVector EvalPredicateBatch(const Trapdoor& td,
-                               std::span<const EncValue* const> cells,
-                               bool* ok = nullptr);
-
-  /// Heterogeneous batched TM entry: one simulated round trip for a batch
-  /// where every cell may carry its own trapdoor (the probe scheduler's
-  /// fused rounds mix predicates from concurrent searches). tds and cells
-  /// are parallel arrays; bit i is tds[i] applied to cells[i]. Counts
-  /// |cells| predicate evaluations but a single round trip. A forged
-  /// trapdoor yields false for its own lanes only (and ok=false overall).
-  BitVector EvalPredicateMulti(std::span<const Trapdoor* const> tds,
+  /// The predicate entry, Θ's inner worker: one simulated round trip for a
+  /// QPF round where every lane may carry its own trapdoor (the probe
+  /// scheduler's fused rounds mix predicates from concurrent searches).
+  /// cells[i] is the ciphertext the SP resolved for reqs[i] (the TM never
+  /// reads reqs[i].tid); bit i is *reqs[i].td applied to cells[i], after
+  /// verifying the trapdoor and decrypting the cell. Counts |cells|
+  /// predicate evaluations but a single round trip. A forged trapdoor yields
+  /// false for its own lanes only (and ok=false overall).
+  BitVector EvalPredicateMulti(std::span<const ProbeRequest> reqs,
                                std::span<const EncValue* const> cells,
                                bool* ok = nullptr);
 
@@ -103,8 +92,8 @@ class TrustedMachine {
   uint64_t value_decrypts() const {
     return value_decrypts_.load(std::memory_order_relaxed);
   }
-  /// Number of TM entries: scalar calls plus batch calls (the unit the
-  /// simulated latency is charged per).
+  /// Number of TM entries: predicate entries plus value decrypts (the unit
+  /// the simulated latency is charged per).
   uint64_t round_trips() const {
     return round_trips_.load(std::memory_order_relaxed);
   }

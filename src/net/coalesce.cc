@@ -66,14 +66,13 @@ bool RoundBus::TryPassThrough(std::unique_lock<std::mutex>& lk,
   return true;
 }
 
-uint64_t RoundBus::Submit(std::span<const edbms::ProbeRequest> reqs,
-                          uint64_t key) {
+uint64_t RoundBus::Submit(std::span<const edbms::ProbeRequest> reqs) {
   if (reqs.empty()) return 0;
   const CoalesceMetrics& m = CoalesceMetrics::Get();
   m.rounds->Add(1);
   m.requests->Add(reqs.size());
   std::unique_lock<std::mutex> lk(mu_);
-  const uint64_t t = key != 0 ? key : next_ticket_++;
+  const uint64_t t = next_ticket_++;
   totals_.rounds += 1;
   totals_.requests += reqs.size();
   auto sub = std::make_shared<Sub>();

@@ -64,7 +64,7 @@ struct RoundBusOptions {
 /// by different selections are sent once per entry (cross-request dedup).
 ///
 /// Counting: the bus enters the backend exclusively through the uncounted
-/// ServeEval* surface. All logical accounting stays with the caller's
+/// ServeEvalMany entry. All logical accounting stays with the caller's
 /// QpfOracle wrappers (CoalescedEdbms below), so per-selection stats are
 /// identical to an uncoalesced run while tm.round_trips / net frames show
 /// the physical collapse.
@@ -79,21 +79,17 @@ class RoundBus {
   RoundBus(const RoundBus&) = delete;
   RoundBus& operator=(const RoundBus&) = delete;
 
-  /// Enqueues one logical round; returns 0 for an empty span. A nonzero
-  /// `key` becomes the round's ticket (caller-chosen, e.g. the oracle's
-  /// ProbeTicket, avoiding a ticket-translation map); it must be unique
-  /// among outstanding rounds and below 2^62 — internally allocated tickets
-  /// live above that line. When the bus is idle the round ships inline and
-  /// the ticket is already complete on return.
-  uint64_t Submit(std::span<const edbms::ProbeRequest> reqs,
-                  uint64_t key = 0);
+  /// Enqueues one logical round and returns its ticket; 0 for an empty
+  /// span. When the bus is idle the round ships inline and the ticket is
+  /// already complete on return.
+  uint64_t Submit(std::span<const edbms::ProbeRequest> reqs);
 
   /// Blocks until ticket `t`'s round has travelled; bit i of the result is
   /// Θ(*reqs[i].td, reqs[i].tid) of the submitted span. Each ticket must be
   /// awaited exactly once.
   BitVector Await(uint64_t t);
 
-  /// Submit + Await in one call, for the synchronous Eval* paths. When the
+  /// Submit + Await in one call, for CoalescedEdbms's rounds. When the
   /// bus is idle this skips the ticket/scatter machinery entirely — there
   /// is nothing to merge with — so a lone caller pays one mutex round trip
   /// over the uncoalesced path.
@@ -148,8 +144,7 @@ class RoundBus {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Internal tickets start above the caller-key range (see Submit).
-  uint64_t next_ticket_ = uint64_t{1} << 62;
+  uint64_t next_ticket_ = 1;
   /// The one backend entry the bus allows outstanding.
   bool in_flight_ = false;
   std::vector<std::shared_ptr<Sub>> queue_;
@@ -163,9 +158,9 @@ class RoundBus {
 /// Drop-in Edbms whose Θ surface rides a RoundBus: DO-side calls and table
 /// geometry forward to the wrapped instance (a local CipherbaseEdbms /
 /// SdbEdbms, or a RemoteEdbms — giving socketless benches and the real wire
-/// the same merge point), while every Eval/EvalBatch/EvalMany and every
-/// SubmitMany ticket the probe scheduler ships merges with concurrent
-/// selections' rounds before entering the backend.
+/// the same merge point), while every QPF round — a scan chunk, a probe
+/// round, a scalar Eval — merges with concurrent selections' rounds before
+/// entering the backend.
 class CoalescedEdbms : public edbms::Edbms {
  public:
   explicit CoalescedEdbms(edbms::Edbms* inner, RoundBusOptions opts = {})
@@ -202,27 +197,9 @@ class CoalescedEdbms : public edbms::Edbms {
   edbms::Edbms* inner() { return inner_; }
 
  private:
-  bool DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) override {
-    const edbms::ProbeRequest one{&td, tid};
-    const BitVector bits = bus_.Exchange({&one, 1});
-    return bits.size() == 1 && bits.Get(0);
-  }
-  BitVector DoEvalBatch(const edbms::Trapdoor& td,
-                        std::span<const edbms::TupleId> tids) override {
-    if (tids.empty()) return BitVector();
-    std::vector<edbms::ProbeRequest> reqs;
-    reqs.reserve(tids.size());
-    for (const edbms::TupleId tid : tids) reqs.push_back({&td, tid});
-    return bus_.Exchange(reqs);
-  }
   BitVector DoEvalMany(std::span<const edbms::ProbeRequest> reqs) override {
     return bus_.Exchange(reqs);
   }
-  // The split-phase ticket surface needs no override: the base default
-  // evaluates through this DoEvalMany — i.e. through the bus — at Ship time
-  // and stashes the bits for Await. A shipping thread blocks in Exchange
-  // exactly as it would have blocked in Collect (rounds ship and collect
-  // back-to-back), and concurrent selections still merge inside the bus.
 
   edbms::Edbms* inner_;
   RoundBus bus_;

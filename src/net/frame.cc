@@ -5,8 +5,13 @@
 namespace prkb::net {
 namespace {
 
+/// Smallest encodings of one EvalManyReq trapdoor (u32 attr, u8 kind, u64
+/// uid, 1-byte blob length) and one item (1-byte varint index, u32 tid).
+constexpr uint64_t kMinTrapdoorBytes = 4 + 1 + 8 + 1;
+constexpr uint64_t kMinItemBytes = 1 + 4;
+
 bool KnownType(uint8_t t) {
-  return t >= static_cast<uint8_t>(MsgType::kEvalReq) &&
+  return t >= static_cast<uint8_t>(MsgType::kEvalManyReq) &&
          t <= static_cast<uint8_t>(MsgType::kStatsResp);
 }
 
@@ -69,53 +74,6 @@ Status DecodeTrapdoor(Decoder* dec, edbms::Trapdoor* out) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> EncodeEvalReq(const edbms::Trapdoor& td,
-                                   edbms::TupleId tid) {
-  Encoder enc;
-  EncodeTrapdoor(td, &enc);
-  enc.PutU32(tid);
-  return enc.Release();
-}
-
-Status DecodeEvalReq(std::span<const uint8_t> payload, edbms::Trapdoor* td,
-                     edbms::TupleId* tid) {
-  Decoder dec(payload.data(), payload.size());
-  PRKB_RETURN_IF_ERROR(DecodeTrapdoor(&dec, td));
-  PRKB_RETURN_IF_ERROR(dec.GetU32(tid));
-  if (!dec.Done()) return Status::Corruption("trailing bytes in EvalReq");
-  return Status::Ok();
-}
-
-std::vector<uint8_t> EncodeEvalBatchReq(const edbms::Trapdoor& td,
-                                        std::span<const edbms::TupleId> tids) {
-  Encoder enc;
-  EncodeTrapdoor(td, &enc);
-  enc.PutVarint(tids.size());
-  for (const edbms::TupleId tid : tids) enc.PutU32(tid);
-  return enc.Release();
-}
-
-Status DecodeEvalBatchReq(std::span<const uint8_t> payload,
-                          edbms::Trapdoor* td,
-                          std::vector<edbms::TupleId>* tids) {
-  Decoder dec(payload.data(), payload.size());
-  PRKB_RETURN_IF_ERROR(DecodeTrapdoor(&dec, td));
-  uint64_t n = 0;
-  PRKB_RETURN_IF_ERROR(dec.GetVarint(&n));
-  if (n * sizeof(edbms::TupleId) > dec.remaining()) {
-    return Status::Corruption("EvalBatchReq count exceeds payload");
-  }
-  tids->clear();
-  tids->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    edbms::TupleId tid = 0;
-    PRKB_RETURN_IF_ERROR(dec.GetU32(&tid));
-    tids->push_back(tid);
-  }
-  if (!dec.Done()) return Status::Corruption("trailing bytes in EvalBatchReq");
-  return Status::Ok();
-}
-
 std::vector<uint8_t> EncodeEvalManyReq(
     std::span<const edbms::ProbeRequest> reqs) {
   // Distinct trapdoors once, then (index, tid) pairs. Probe rounds reference
@@ -142,17 +100,21 @@ Status DecodeEvalManyReq(std::span<const uint8_t> payload, ManyReq* out) {
   Decoder dec(payload.data(), payload.size());
   uint64_t num_tds = 0;
   PRKB_RETURN_IF_ERROR(dec.GetVarint(&num_tds));
-  if (num_tds > dec.remaining()) {
+  // Bound each count by its entries' minimum encoded size before trusting
+  // it, so a hostile count cannot force an allocation the payload does not
+  // pay for.
+  if (num_tds > dec.remaining() / kMinTrapdoorBytes) {
     return Status::Corruption("EvalManyReq trapdoor count exceeds payload");
   }
   out->tds.clear();
-  out->tds.resize(num_tds);
   for (uint64_t i = 0; i < num_tds; ++i) {
-    PRKB_RETURN_IF_ERROR(DecodeTrapdoor(&dec, &out->tds[i]));
+    edbms::Trapdoor td;
+    PRKB_RETURN_IF_ERROR(DecodeTrapdoor(&dec, &td));
+    out->tds.push_back(std::move(td));
   }
   uint64_t num_items = 0;
   PRKB_RETURN_IF_ERROR(dec.GetVarint(&num_items));
-  if (num_items > dec.remaining()) {
+  if (num_items > dec.remaining() / kMinItemBytes) {
     return Status::Corruption("EvalManyReq item count exceeds payload");
   }
   out->items.clear();

@@ -46,9 +46,10 @@ struct NetMetrics {
 /// Message kinds of the QPF wire protocol (DESIGN.md §12). Requests carry a
 /// client-chosen correlation id; the matching response echoes it, which is
 /// what lets one channel multiplex rounds from many concurrent selections.
+/// Θ has one request type: a QPF round of any width is a kEvalManyReq.
+/// Bytes 1 and 2 are retired (they were a scalar and a one-trapdoor request)
+/// and a receiver rejects them like any unknown type.
 enum class MsgType : uint8_t {
-  kEvalReq = 1,       // Trapdoor + TupleId            → kResultResp (1 bit)
-  kEvalBatchReq = 2,  // Trapdoor + TupleId list       → kResultResp
   kEvalManyReq = 3,   // Trapdoor table + (td, tid)*   → kResultResp
   kResultResp = 4,    // BitVector of Θ outcomes
   kErrorResp = 5,     // Status code + message
@@ -94,20 +95,10 @@ Status DecodeFrameHeader(const uint8_t* in, MsgType* type, uint64_t* corr,
 void EncodeTrapdoor(const edbms::Trapdoor& td, Encoder* enc);
 Status DecodeTrapdoor(Decoder* dec, edbms::Trapdoor* out);
 
-std::vector<uint8_t> EncodeEvalReq(const edbms::Trapdoor& td,
-                                   edbms::TupleId tid);
-Status DecodeEvalReq(std::span<const uint8_t> payload, edbms::Trapdoor* td,
-                     edbms::TupleId* tid);
-
-std::vector<uint8_t> EncodeEvalBatchReq(const edbms::Trapdoor& td,
-                                        std::span<const edbms::TupleId> tids);
-Status DecodeEvalBatchReq(std::span<const uint8_t> payload,
-                          edbms::Trapdoor* td,
-                          std::vector<edbms::TupleId>* tids);
-
-/// Heterogeneous round: distinct trapdoors are sent once, each request is a
-/// (table index, tuple) pair — a fused m-ary round re-uses its few predicate
-/// trapdoors across many lanes, so the dedup dominates the frame size.
+/// One QPF round: distinct trapdoors are sent once, each request is a
+/// (table index, tuple) pair — a scan chunk or a fused m-ary round re-uses
+/// its few predicate trapdoors across many lanes, so the dedup dominates the
+/// frame size.
 struct ManyReq {
   std::vector<edbms::Trapdoor> tds;
   struct Item {

@@ -178,96 +178,32 @@ void QpfClient::FailAllPending(const Status& s) {
 
 namespace {
 
-/// All-false bits of the expected width: the safe answer when the transport
-/// failed mid-round. The caller sees an empty winner set plus a non-OK
-/// Health(), which the executor turns into a clean error.
-BitVector FailClosed(size_t n) { return BitVector(n); }
+/// The one Θ wire call: ships `reqs` as a kEvalManyReq frame and returns the
+/// round's bits. On any transport or decode failure it fails closed with
+/// all-false bits of the expected width; the caller sees an empty winner
+/// set plus a non-OK Health(), which the executor turns into a clean error.
+BitVector CallEvalMany(QpfClient* client,
+                       std::span<const edbms::ProbeRequest> reqs) {
+  Frame resp;
+  BitVector bits;
+  if (!client->Call(MsgType::kEvalManyReq, EncodeEvalManyReq(reqs), &resp)
+           .ok() ||
+      !DecodeResultResp(resp.payload, &bits).ok() ||
+      bits.size() != reqs.size()) {
+    return BitVector(reqs.size());
+  }
+  return bits;
+}
 
 }  // namespace
 
-bool RemoteQpfOracle::DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalReq, EncodeEvalReq(td, tid), &resp).ok()) {
-    return false;
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() || bits.size() != 1) {
-    return false;
-  }
-  return bits.Get(0);
-}
-
-BitVector RemoteQpfOracle::DoEvalBatch(const edbms::Trapdoor& td,
-                                       std::span<const edbms::TupleId> tids) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalBatchReq, EncodeEvalBatchReq(td, tids),
-                     &resp)
-           .ok()) {
-    return FailClosed(tids.size());
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() ||
-      bits.size() != tids.size()) {
-    return FailClosed(tids.size());
-  }
-  return bits;
-}
-
 BitVector RemoteQpfOracle::DoEvalMany(
     std::span<const edbms::ProbeRequest> reqs) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalManyReq, EncodeEvalManyReq(reqs), &resp)
-           .ok()) {
-    return FailClosed(reqs.size());
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() ||
-      bits.size() != reqs.size()) {
-    return FailClosed(reqs.size());
-  }
-  return bits;
-}
-
-bool RemoteEdbms::DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalReq, EncodeEvalReq(td, tid), &resp).ok()) {
-    return false;
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() || bits.size() != 1) {
-    return false;
-  }
-  return bits.Get(0);
-}
-
-BitVector RemoteEdbms::DoEvalBatch(const edbms::Trapdoor& td,
-                                   std::span<const edbms::TupleId> tids) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalBatchReq, EncodeEvalBatchReq(td, tids),
-                     &resp)
-           .ok()) {
-    return FailClosed(tids.size());
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() ||
-      bits.size() != tids.size()) {
-    return FailClosed(tids.size());
-  }
-  return bits;
+  return CallEvalMany(client_, reqs);
 }
 
 BitVector RemoteEdbms::DoEvalMany(std::span<const edbms::ProbeRequest> reqs) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalManyReq, EncodeEvalManyReq(reqs), &resp)
-           .ok()) {
-    return FailClosed(reqs.size());
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() ||
-      bits.size() != reqs.size()) {
-    return FailClosed(reqs.size());
-  }
-  return bits;
+  return CallEvalMany(client_, reqs);
 }
 
 }  // namespace prkb::net

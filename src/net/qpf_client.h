@@ -94,8 +94,8 @@ class QpfClient {
 
 /// Client-side QPF backend: Θ over the wire. Plugs into everything that
 /// consumes a QpfOracle (ProbeRound, ScanTuples, the SDB-style harness) and
-/// keeps the standard accounting — each Eval/EvalBatch/EvalMany is one use
-/// bundle and one *real* round trip; qpf.round_trip_ns measures the wire.
+/// keeps the standard accounting — each EvalMany round is one use bundle and
+/// one *real* round trip; qpf.round_trip_ns measures the wire.
 class RemoteQpfOracle : public edbms::QpfOracle {
  public:
   explicit RemoteQpfOracle(QpfClient* client) : client_(client) {}
@@ -103,9 +103,6 @@ class RemoteQpfOracle : public edbms::QpfOracle {
   Status Health() const override { return client_->Health(); }
 
  private:
-  bool DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) override;
-  BitVector DoEvalBatch(const edbms::Trapdoor& td,
-                        std::span<const edbms::TupleId> tids) override;
   BitVector DoEvalMany(std::span<const edbms::ProbeRequest> reqs) override;
 
   QpfClient* client_;
@@ -147,9 +144,6 @@ class RemoteEdbms : public edbms::Edbms {
   Status Health() const override { return client_->Health(); }
 
  private:
-  bool DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) override;
-  BitVector DoEvalBatch(const edbms::Trapdoor& td,
-                        std::span<const edbms::TupleId> tids) override;
   BitVector DoEvalMany(std::span<const edbms::ProbeRequest> reqs) override;
 
   edbms::Edbms* local_;

@@ -133,31 +133,6 @@ void QpfServer::WorkerLoop() {
 void QpfServer::Handle(Conn* conn, Frame&& req) {
   frames_served_.fetch_add(1, std::memory_order_relaxed);
   switch (req.type) {
-    case MsgType::kEvalReq: {
-      edbms::Trapdoor td;
-      edbms::TupleId tid = 0;
-      const Status s = DecodeEvalReq(req.payload, &td, &tid);
-      if (!s.ok()) {
-        Reply(conn, req.corr, MsgType::kErrorResp, EncodeErrorResp(s));
-        return;
-      }
-      BitVector bit(1);
-      bit.Assign(0, oracle_->ServeEval(td, tid));
-      Reply(conn, req.corr, MsgType::kResultResp, EncodeResultResp(bit));
-      return;
-    }
-    case MsgType::kEvalBatchReq: {
-      edbms::Trapdoor td;
-      std::vector<edbms::TupleId> tids;
-      const Status s = DecodeEvalBatchReq(req.payload, &td, &tids);
-      if (!s.ok()) {
-        Reply(conn, req.corr, MsgType::kErrorResp, EncodeErrorResp(s));
-        return;
-      }
-      const BitVector bits = oracle_->ServeEvalBatch(td, tids);
-      Reply(conn, req.corr, MsgType::kResultResp, EncodeResultResp(bits));
-      return;
-    }
     case MsgType::kEvalManyReq: {
       ManyReq many;
       const Status s = DecodeEvalManyReq(req.payload, &many);

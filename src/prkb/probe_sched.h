@@ -55,7 +55,7 @@ void RecordSpeculativeWaste(const PrepaidScan& prepaid);
 
 /// One shippable probe round: heterogeneous (trapdoor, tuple) requests from
 /// any number of concurrent searches, evaluated in a single
-/// QpfOracle::EvalMany round trip (scalar Eval when only one lane queued).
+/// QpfOracle::EvalMany round trip.
 class ProbeRound {
  public:
   explicit ProbeRound(edbms::QpfOracle* qpf) : qpf_(qpf) {}
@@ -65,41 +65,20 @@ class ProbeRound {
   /// from ≥ 2 sources counts as fused.
   size_t Add(const edbms::Trapdoor& td, edbms::TupleId tid, int source = 0);
 
-  /// Ships every queued request as one split-phase SubmitMany ticket (a
-  /// lone probe stays a scalar Eval). No-op when empty or already in
-  /// flight. On a coalescing transport, the window between Ship and
-  /// Collect is where concurrent selections' rounds merge into one
-  /// backend entry.
-  void Ship();
-
-  /// Blocks for the bits of the in-flight ticket. No-op when nothing is in
-  /// flight.
-  void Collect();
-
-  /// Ships every queued request in one round trip: Ship + Collect.
-  void Flush() {
-    Ship();
-    Collect();
-  }
+  /// Ships every queued request in one round trip. No-op when empty or
+  /// already flushed. On a coalescing transport (net::RoundBus) the round
+  /// merges there with concurrent selections' rounds.
+  void Flush();
 
   /// Lane outcome from the last Flush.
   bool ResultOf(size_t lane) const { return results_.Get(lane); }
-
-  size_t pending() const {
-    return (shipped_ || inflight_) ? 0 : reqs_.size();
-  }
-  /// Round trips this ProbeRound has shipped so far.
-  uint64_t trips() const { return trips_; }
 
  private:
   edbms::QpfOracle* qpf_;
   std::vector<edbms::ProbeRequest> reqs_;
   std::vector<int> sources_;
   BitVector results_;
-  edbms::ProbeTicket ticket_ = edbms::kEmptyProbeTicket;
-  bool inflight_ = false;
   bool shipped_ = false;
-  uint64_t trips_ = 0;
 };
 
 /// m-ary adjacent-flip search over chain positions: maintains an interval

@@ -62,16 +62,6 @@ void ScanPartitionExact(const Pop& pop, size_t pos, const edbms::Trapdoor& td,
   const std::span<const edbms::TupleId> rest =
       std::span<const edbms::TupleId>(members).subspan(start);
   if (rest.empty()) return;
-  if (!policy.batched() && !policy.parallel()) {
-    for (edbms::TupleId tid : rest) {
-      if (qpf->Eval(td, tid)) {
-        true_out->push_back(tid);
-      } else {
-        false_out->push_back(tid);
-      }
-    }
-    return;
-  }
   const std::vector<uint8_t> hit = ScanTuples(qpf, td, rest, policy);
   for (size_t i = 0; i < rest.size(); ++i) {
     (hit[i] ? true_out : false_out)->push_back(rest[i]);

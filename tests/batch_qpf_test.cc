@@ -52,6 +52,14 @@ std::vector<std::vector<TupleId>> ChainShape(const Pop& pop) {
 
 // ------------------------------------------------------------ oracle level
 
+// A round applying one trapdoor to every tuple of `tids`.
+std::vector<edbms::ProbeRequest> OneTrapdoorRound(
+    const Trapdoor& td, const std::vector<TupleId>& tids) {
+  std::vector<edbms::ProbeRequest> reqs;
+  for (const TupleId t : tids) reqs.push_back({&td, t});
+  return reqs;
+}
+
 TEST(EvalBatchTest, MatchesScalarBitsAndAccountsUses) {
   Rng rng(3);
   const PlainTable plain = RandomTable(200, 1, &rng);
@@ -66,8 +74,9 @@ TEST(EvalBatchTest, MatchesScalarBitsAndAccountsUses) {
   const uint64_t uses_after_scalar = db.uses();
   EXPECT_EQ(uses_after_scalar, 200u);
   EXPECT_EQ(db.round_trips(), 200u);
+  EXPECT_EQ(db.batches(), 0u);
 
-  const BitVector bits = db.EvalBatch(td, tids);
+  const BitVector bits = db.EvalMany(OneTrapdoorRound(td, tids));
   for (size_t i = 0; i < tids.size(); ++i) {
     EXPECT_EQ(bits.Get(i), scalar[i]) << "tuple " << tids[i];
   }
@@ -89,12 +98,18 @@ TEST(EvalBatchTest, SdbBackendMatchesScalarAndCountsOneRound) {
   for (TupleId t : tids) scalar.push_back(db.Eval(td, t));
   const uint64_t rounds_after_scalar = db.rounds();
   EXPECT_EQ(rounds_after_scalar, 150u);
+  const uint64_t bytes_after_scalar = db.bytes_transferred();
+  // Per lane: an 8-byte share, a 4-byte tuple id, the trapdoor uid (8 bytes,
+  // once per distinct trapdoor) and one packed result bit.
+  EXPECT_EQ(bytes_after_scalar, 150u * 21u);
 
-  const BitVector bits = db.EvalBatch(td, tids);
+  const BitVector bits = db.EvalMany(OneTrapdoorRound(td, tids));
   for (size_t i = 0; i < tids.size(); ++i) {
     EXPECT_EQ(bits.Get(i), scalar[i]);
   }
   EXPECT_EQ(db.rounds(), rounds_after_scalar + 1);  // one MPC round
+  EXPECT_EQ(db.bytes_transferred(),
+            bytes_after_scalar + 150u * 12u + 8u + (150u + 7u) / 8u);
 }
 
 TEST(ScanTuplesTest, AllPoliciesAgreeOnBitsAndUses) {

@@ -279,11 +279,21 @@ TEST(SerialTest, TruncatedInputIsCorruption) {
 }
 
 TEST(SerialTest, TruncatedBytesIsCorruption) {
-  Encoder enc;
-  enc.PutVarint(100);  // length prefix promising 100 bytes, none present
-  Decoder dec(enc.buffer());
-  std::vector<uint8_t> out;
-  EXPECT_EQ(dec.GetBytes(&out).code(), Status::Code::kCorruption);
+  // A length prefix promising more bytes than remain, including 2^64-1, for
+  // which pos + n wraps below the buffer size: only a check against the
+  // remaining bytes rejects every one.
+  for (const uint64_t n : {uint64_t{100}, UINT64_MAX}) {
+    Encoder enc;
+    enc.PutVarint(n);
+    Decoder bytes_dec(enc.buffer());
+    std::vector<uint8_t> bytes;
+    EXPECT_EQ(bytes_dec.GetBytes(&bytes).code(), Status::Code::kCorruption)
+        << n;
+    Decoder string_dec(enc.buffer());
+    std::string str;
+    EXPECT_EQ(string_dec.GetString(&str).code(), Status::Code::kCorruption)
+        << n;
+  }
 }
 
 TEST(SerialTest, OverlongVarintIsCorruption) {

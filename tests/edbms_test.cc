@@ -20,6 +20,14 @@ PlainTable SmallTable() {
   return t;
 }
 
+/// A one-cell entry into the TM's predicate entry.
+bool EvalOne(TrustedMachine& tm, const Trapdoor& td, const EncValue& cell,
+             bool* ok = nullptr) {
+  const ProbeRequest req{&td, 0};
+  const EncValue* cells[] = {&cell};
+  return tm.EvalPredicateMulti({&req, 1}, cells, ok).Get(0);
+}
+
 // ------------------------------------------------------------- Predicates
 
 TEST(PlainPredicateTest, ComparisonSemantics) {
@@ -85,7 +93,7 @@ TEST(EncryptionTest, TamperedTrapdoorIsRejected) {
   td.blob[10] ^= 0xFF;
   const auto cell = owner.EncryptRow({1})[0];
   bool ok = true;
-  tm.EvalPredicate(td, cell, &ok);
+  EvalOne(tm, td, cell, &ok);
   EXPECT_FALSE(ok);
 }
 
@@ -95,7 +103,7 @@ TEST(EncryptionTest, TrapdoorBoundToAttrAndKind) {
   Trapdoor td = owner.MakeComparison(0, CompareOp::kLt, 7);
   td.attr = 1;  // relabeled by a malicious SP
   bool ok = true;
-  tm.EvalPredicate(td, owner.EncryptRow({1, 1})[0], &ok);
+  EvalOne(tm, td, owner.EncryptRow({1, 1})[0], &ok);
   EXPECT_FALSE(ok);
 }
 
@@ -110,7 +118,7 @@ TEST(TrustedMachineTest, VerifiedCacheStaysBoundedAndExact) {
     const Trapdoor td = owner.MakeComparison(0, CompareOp::kLe, c);
     for (size_t j = 0; j < cells.size(); ++j) {
       bool ok = false;
-      ASSERT_EQ(tm.EvalPredicate(td, cells[j], &ok), plain[j] <= c)
+      ASSERT_EQ(EvalOne(tm, td, cells[j], &ok), plain[j] <= c)
           << "trapdoor " << i;
       ASSERT_TRUE(ok);
     }
@@ -129,20 +137,20 @@ TEST(TrustedMachineTest, ForgedTrapdoorRejectedCachedOrEvicted) {
   forged.blob[12] ^= 0x01;
 
   bool ok = false;
-  EXPECT_TRUE(tm.EvalPredicate(genuine, cell, &ok));
+  EXPECT_TRUE(EvalOne(tm, genuine, cell, &ok));
   EXPECT_TRUE(ok);
   // While the genuine trapdoor is cached, its uid alone must not vouch for
   // a tampered copy.
-  tm.EvalPredicate(forged, cell, &ok);
+  EvalOne(tm, forged, cell, &ok);
   EXPECT_FALSE(ok);
 
   // Evict it by filling every slot with other trapdoors.
   for (size_t i = 0; i < TrustedMachine::kVerifiedCacheCapacity; ++i) {
-    tm.EvalPredicate(owner.MakeComparison(0, CompareOp::kGt, 0), cell);
+    EvalOne(tm, owner.MakeComparison(0, CompareOp::kGt, 0), cell);
   }
-  tm.EvalPredicate(forged, cell, &ok);
+  EvalOne(tm, forged, cell, &ok);
   EXPECT_FALSE(ok);
-  EXPECT_TRUE(tm.EvalPredicate(genuine, cell, &ok));
+  EXPECT_TRUE(EvalOne(tm, genuine, cell, &ok));
   EXPECT_TRUE(ok);
 }
 
@@ -260,6 +268,23 @@ TYPED_TEST(EdbmsBackendTest, UsesCounterCountsEveryEval) {
   EXPECT_EQ(db.uses(), 2u);
   db.ResetUses();
   EXPECT_EQ(db.uses(), 0u);
+
+  // The batch rule: every round counts its lanes as uses and one trip, and
+  // counts as a batch only with two or more lanes.
+  const ProbeRequest one{&td, 2};
+  EXPECT_TRUE(db.EvalMany({&one, 1}).Get(0));  // -5 < 15
+  EXPECT_EQ(db.uses(), 1u);
+  EXPECT_EQ(db.round_trips(), 1u);
+  EXPECT_EQ(db.batches(), 0u);
+
+  db.ResetUses();
+  const Trapdoor gt = db.MakeComparison(1, CompareOp::kGt, 60);
+  const std::vector<ProbeRequest> reqs = {
+      {&td, 0}, {&td, 1}, {&gt, 0}, {&gt, 1}, {&td, 3}};
+  EXPECT_EQ(db.EvalMany(reqs).size(), reqs.size());
+  EXPECT_EQ(db.uses(), reqs.size());
+  EXPECT_EQ(db.round_trips(), 1u);
+  EXPECT_EQ(db.batches(), 1u);
 }
 
 TYPED_TEST(EdbmsBackendTest, InsertAndDelete) {

@@ -72,47 +72,22 @@ TEST(NetFrameTest, HeaderRejectsUnknownType) {
   buf[4] = 200;  // above the last
   EXPECT_EQ(DecodeFrameHeader(buf, &type, &corr, &len).code(),
             Status::Code::kCorruption);
+  for (const uint8_t retired : {1, 2}) {  // the retired Θ request types
+    buf[4] = retired;
+    EXPECT_EQ(DecodeFrameHeader(buf, &type, &corr, &len).code(),
+              Status::Code::kCorruption)
+        << "type byte " << int{retired};
+  }
 }
 
 TEST(NetFrameTest, HeaderRejectsOversizedLength) {
   uint8_t buf[kFrameHeaderBytes];
-  EncodeFrameHeader(MsgType::kEvalBatchReq, 1, kMaxFramePayload + 1, buf);
+  EncodeFrameHeader(MsgType::kEvalManyReq, 1, kMaxFramePayload + 1, buf);
   MsgType type;
   uint64_t corr;
   uint32_t len;
   EXPECT_EQ(DecodeFrameHeader(buf, &type, &corr, &len).code(),
             Status::Code::kCorruption);
-}
-
-TEST(NetFrameTest, EvalReqRoundTripRandomized) {
-  Rng rng(101);
-  for (int iter = 0; iter < 200; ++iter) {
-    const Trapdoor td = RandomTrapdoor(&rng);
-    const TupleId tid = static_cast<TupleId>(rng.UniformInt64(0, 1 << 20));
-    const auto payload = EncodeEvalReq(td, tid);
-    Trapdoor td2;
-    TupleId tid2 = 0;
-    ASSERT_TRUE(DecodeEvalReq(payload, &td2, &tid2).ok());
-    EXPECT_TRUE(SameTrapdoor(td, td2));
-    EXPECT_EQ(tid, tid2);
-  }
-}
-
-TEST(NetFrameTest, EvalBatchReqRoundTripRandomized) {
-  Rng rng(202);
-  for (int iter = 0; iter < 100; ++iter) {
-    const Trapdoor td = RandomTrapdoor(&rng);
-    std::vector<TupleId> tids(static_cast<size_t>(rng.UniformInt64(0, 300)));
-    for (auto& t : tids) {
-      t = static_cast<TupleId>(rng.UniformInt64(0, 1 << 20));
-    }
-    const auto payload = EncodeEvalBatchReq(td, tids);
-    Trapdoor td2;
-    std::vector<TupleId> tids2;
-    ASSERT_TRUE(DecodeEvalBatchReq(payload, &td2, &tids2).ok());
-    EXPECT_TRUE(SameTrapdoor(td, td2));
-    EXPECT_EQ(tids, tids2);
-  }
 }
 
 TEST(NetFrameTest, EvalManyReqRoundTripRandomizedWithDedup) {
@@ -187,9 +162,8 @@ TEST(NetFrameTest, StatsRespRoundTrip) {
 TEST(NetFrameTest, TruncatedPayloadsAreCorruptionNotCrash) {
   Rng rng(505);
   const Trapdoor td = RandomTrapdoor(&rng);
-  std::vector<TupleId> tids = {1, 2, 3, 4, 5};
   std::vector<ProbeRequest> reqs;
-  for (const TupleId t : tids) reqs.push_back(ProbeRequest{&td, t});
+  for (const TupleId t : {1, 2, 3, 4, 5}) reqs.push_back(ProbeRequest{&td, t});
   BitVector bits(17, true);
 
   // Every strict prefix of a valid payload must fail its own decoder: the
@@ -202,17 +176,6 @@ TEST(NetFrameTest, TruncatedPayloadsAreCorruptionNotCrash) {
           << " unexpectedly decoded";
     }
   };
-  check_prefixes(EncodeEvalReq(td, 9), [](std::span<const uint8_t> p) {
-    Trapdoor t;
-    TupleId i;
-    return DecodeEvalReq(p, &t, &i);
-  });
-  check_prefixes(EncodeEvalBatchReq(td, tids),
-                 [](std::span<const uint8_t> p) {
-                   Trapdoor t;
-                   std::vector<TupleId> v;
-                   return DecodeEvalBatchReq(p, &t, &v);
-                 });
   check_prefixes(EncodeEvalManyReq(reqs), [](std::span<const uint8_t> p) {
     ManyReq m;
     return DecodeEvalManyReq(p, &m);
@@ -236,11 +199,11 @@ TEST(NetFrameTest, TruncatedPayloadsAreCorruptionNotCrash) {
 TEST(NetFrameTest, TrailingGarbageIsCorruption) {
   Rng rng(606);
   const Trapdoor td = RandomTrapdoor(&rng);
-  auto payload = EncodeEvalReq(td, 3);
+  const ProbeRequest req{&td, 3};
+  auto payload = EncodeEvalManyReq({&req, 1});
   payload.push_back(0xAB);
-  Trapdoor td2;
-  TupleId tid2;
-  EXPECT_EQ(DecodeEvalReq(payload, &td2, &tid2).code(),
+  ManyReq many;
+  EXPECT_EQ(DecodeEvalManyReq(payload, &many).code(),
             Status::Code::kCorruption);
 }
 
@@ -272,19 +235,32 @@ TEST(NetFrameTest, ResultRespRejectsSizeMismatch) {
 }
 
 TEST(NetFrameTest, CountFieldCannotForceHugeAllocation) {
-  // A batch request claiming 2^40 tuples in a 16-byte payload must fail the
-  // count-vs-remaining check, not attempt the reserve.
-  Rng rng(808);
-  Trapdoor td = RandomTrapdoor(&rng);
-  td.blob.clear();
-  Encoder enc;
-  EncodeTrapdoor(td, &enc);
-  enc.PutVarint(uint64_t{1} << 40);
-  const auto payload = enc.Release();
-  Trapdoor td2;
-  std::vector<TupleId> tids;
-  EXPECT_EQ(DecodeEvalBatchReq(payload, &td2, &tids).code(),
-            Status::Code::kCorruption);
+  // Each count must fit its entries' minimum encoded size (14 bytes per
+  // trapdoor, 5 per item) in the bytes that follow it. The counts below fit
+  // the bytes left but not that bound, so a count check that only compares
+  // against the remaining bytes would allocate first (×40 for trapdoors) and
+  // fail later on truncation; the bounded check refuses the count itself.
+  const std::vector<uint8_t> filler(100, 0);
+  const auto expect_count_rejected = [](const Encoder& enc,
+                                        const std::string& what) {
+    ManyReq many;
+    const Status s = DecodeEvalManyReq(enc.buffer(), &many);
+    EXPECT_EQ(s.code(), Status::Code::kCorruption);
+    EXPECT_NE(s.message().find(what + " count exceeds payload"),
+              std::string::npos)
+        << s.ToString();
+  };
+
+  Encoder tds;
+  tds.PutVarint(filler.size());  // 100 trapdoors in 100 bytes
+  for (const uint8_t b : filler) tds.PutU8(b);
+  expect_count_rejected(tds, "trapdoor");
+
+  Encoder items;
+  items.PutVarint(0);                // empty trapdoor table
+  items.PutVarint(filler.size() / 2);  // 50 items in 100 bytes
+  for (const uint8_t b : filler) items.PutU8(b);
+  expect_count_rejected(items, "item");
 }
 
 }  // namespace

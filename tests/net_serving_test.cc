@@ -340,7 +340,7 @@ TEST(NetServingTest, MalformedFrameGetsErrorResponseAndSeveredConnection) {
   auto ch = net::Channel::ConnectTcp("127.0.0.1", server.port());
   ASSERT_TRUE(ch.ok());
   net::Frame bad;
-  bad.type = net::MsgType::kEvalReq;
+  bad.type = net::MsgType::kEvalManyReq;
   bad.corr = 42;
   bad.payload = {0xDE, 0xAD, 0xBE, 0xEF};
   ASSERT_TRUE(ch.value().Send(bad).ok());
@@ -351,6 +351,27 @@ TEST(NetServingTest, MalformedFrameGetsErrorResponseAndSeveredConnection) {
   Status remote;
   ASSERT_TRUE(net::DecodeErrorResp(resp.payload, &remote).ok());
   EXPECT_FALSE(remote.ok());
+
+  // A well-framed round whose one trapdoor claims a 2^64-1-byte blob: the
+  // decoder must refuse the length rather than wrap its bounds check and
+  // throw inside the server.
+  Encoder huge;
+  huge.PutVarint(1);  // one trapdoor
+  huge.PutU32(0);     // attr
+  huge.PutU8(0);      // kind
+  huge.PutU64(7);     // uid
+  huge.PutVarint(UINT64_MAX);
+  bad.corr = 43;
+  bad.payload = huge.Release();
+  ASSERT_TRUE(ch.value().Send(bad).ok());
+  ASSERT_TRUE(ch.value().Recv(&resp).ok());
+  EXPECT_EQ(resp.type, net::MsgType::kErrorResp);
+  EXPECT_EQ(resp.corr, 43u);
+  {
+    auto fresh = net::QpfClient::ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_TRUE(fresh.value()->Ping().ok());
+  }
 
   // A corrupt *header* (bad magic) severs the connection after an error
   // frame: Channel::Send always writes a valid header, so speak raw bytes.
