@@ -36,13 +36,12 @@ void BitVector::Reset() {
 }
 
 std::vector<uint32_t> BitVector::ToIndices() const {
-  std::vector<uint32_t> out;
-  out.reserve(Count());
+  std::vector<uint32_t> out(Count());
+  uint32_t* next = out.data();
   for (size_t wi = 0; wi < words_.size(); ++wi) {
     uint64_t w = words_[wi];
     while (w != 0) {
-      const int bit = std::countr_zero(w);
-      out.push_back(static_cast<uint32_t>(wi * 64 + bit));
+      *next++ = static_cast<uint32_t>(wi * 64 + std::countr_zero(w));
       w &= w - 1;
     }
   }

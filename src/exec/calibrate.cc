@@ -42,7 +42,8 @@ double Ewma(double fit, uint64_t samples, double sample, double alpha) {
 CostCalibrator::CostCalibrator(double eval_ns_default,
                                double rt_latency_hint_ns)
     : eval_ns_default_(eval_ns_default),
-      rt_latency_hint_ns_(rt_latency_hint_ns) {}
+      rt_latency_hint_ns_(rt_latency_hint_ns),
+      fanout_open_(rt_latency_hint_ns >= kCalibratedFanoutFloorNs) {}
 
 void CostCalibrator::ObserveRoundTrips(uint64_t trips, uint64_t total_ns,
                                        double evals) {
@@ -54,6 +55,16 @@ void CostCalibrator::ObserveRoundTrips(uint64_t trips, uint64_t total_ns,
       static_cast<double>(trips);
   rt_fit_ = Ewma(rt_fit_, rt_samples_, sample, kFitAlpha);
   ++rt_samples_;
+  const bool sample_open = sample >= kCalibratedFanoutFloorNs;
+  const bool fit_open = RtLatencyNsLocked() >= kCalibratedFanoutFloorNs;
+  if (sample_open == fit_open && fit_open != fanout_open_) {
+    if (++fanout_streak_ >= kFanoutSwitchFits) {
+      fanout_open_ = fit_open;
+      fanout_streak_ = 0;
+    }
+  } else {
+    fanout_streak_ = 0;
+  }
   CalMetrics::Get().fits->Add(1);
   CalMetrics::Get().rt_latency_ns->Set(
       static_cast<int64_t>(RtLatencyNsLocked()));
@@ -134,6 +145,11 @@ double CostCalibrator::eval_ns() const {
 double CostCalibrator::rt_latency_ns() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return RtLatencyNsLocked();
+}
+
+bool CostCalibrator::fanout_search_open() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return fanout_open_;
 }
 
 double CostCalibrator::coalesce_factor() const {

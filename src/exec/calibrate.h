@@ -56,6 +56,12 @@ class CostCalibrator {
   /// Calibrated latency at which the planner starts searching probe fanouts
   /// m > 1 even without a configured hint (query::CandidateFanouts).
   static constexpr double kCalibratedFanoutFloorNs = 1e4;
+  /// Consecutive latency fits that must land on the other side of
+  /// kCalibratedFanoutFloorNs before the fan-out search opens or closes
+  /// (fanout_search_open). A fit counts only when both its sample and the
+  /// resulting latency are past the floor, so one stalled round — however
+  /// long — cannot move m on a loopback deployment.
+  static constexpr int kFanoutSwitchFits = 3;
   /// EWMA weight of a new sample for the two constant fits: a half-life of
   /// one sample, so a transport shift is re-fitted within a handful of
   /// queries in either direction (bench_adaptive_drift gates the decay).
@@ -102,6 +108,11 @@ class CostCalibrator {
   /// Fitted round-trip latency once warmed (never below a positive
   /// configured hint), the hint before.
   double rt_latency_ns() const;
+
+  /// Whether the planner searches probe fanouts m > 1: the side of
+  /// kCalibratedFanoutFloorNs that rt_latency_ns() last held for
+  /// kFanoutSwitchFits fits in a row. Starts on the configured hint's side.
+  bool fanout_search_open() const;
 
   /// Fitted coalescing factor c ≥ 1; exactly 1.0 until observed, so
   /// non-coalescing deployments (and the golden EXPLAIN snapshots) price
@@ -152,6 +163,8 @@ class CostCalibrator {
   uint64_t eval_samples_ = 0;
   uint64_t rt_samples_ = 0;
   uint64_t coalesce_samples_ = 0;
+  bool fanout_open_ = false;
+  int fanout_streak_ = 0;  // consecutive fits past the floor, against state
   std::map<std::string, RouteStats> routes_;
 };
 

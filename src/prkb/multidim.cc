@@ -16,10 +16,16 @@
 // fully resolved contributes a split. In the paper's (lazy) mode a partition
 // whose scan was cut short by cross-dimension pruning is left unsplit; the
 // eager option (ablation) finishes such scans with extra QPF uses.
+//
+// Assembly is bitmap algebra over per-call scratch (docs/ALGORITHMS.md §4):
+// partition labels are flat per-pid arrays, NS outcomes per-trapdoor
+// seen/value bitmaps, and the winners are the band tuples found True under
+// every trapdoor plus the central region — one intersection of per-chain
+// sure-True bands. Winners come back in ascending tuple order.
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <utility>
 
 #include "common/bitvector.h"
 #include "edbms/batch_scan.h"
@@ -54,16 +60,18 @@ struct MdMetrics {
   }
 };
 
-/// Per-trapdoor processing state.
+/// Per-trapdoor processing state. Everything here is per-call scratch: flat
+/// arrays and bitmaps indexed by partition id or tuple id, no hashing.
 struct PredCtx {
   const Trapdoor* td = nullptr;
   Pop* pop = nullptr;
   TrapdoorFp fp;
   QFilterResult filter;
 
-  /// Known homogeneous QPF output per partition id (sure-True / sure-False
-  /// partitions from QFilter, plus labels learned during the query).
-  std::unordered_map<PartitionId, int8_t> label_by_pid;
+  /// Known homogeneous QPF output per partition id — 1, 0, or -1 while
+  /// unknown (sure-True / sure-False partitions from QFilter, plus labels
+  /// learned during the query). Grows when Step 5 splits issue new ids.
+  std::vector<int8_t> label;
 
   /// The (at most two) Not-Sure partitions.
   struct Ns {
@@ -71,10 +79,15 @@ struct PredCtx {
     /// Homogeneous label implied by the partner's non-homogeneity, or -1.
     int8_t known = -1;
     size_t t_count = 0, f_count = 0;
-    std::unordered_map<TupleId, bool> outcome;
+    /// Every observed (tuple, output) pair, in observation order.
+    std::vector<std::pair<TupleId, bool>> outcomes;
   };
   Ns ns[2];
   int ns_count = 0;
+  /// Observed outputs by tuple id: `seen` marks the tuples evaluated under
+  /// this trapdoor, `value` holds their output bits. Sized only when the
+  /// trapdoor has NS partitions.
+  BitVector seen, value;
 
   bool outside_label(int idx) const {
     return idx == 0 ? filter.label_first : filter.label_last;
@@ -85,17 +98,27 @@ struct PredCtx {
     }
     return -1;
   }
+  int8_t LabelOf(PartitionId pid) const {
+    return pid < label.size() ? label[pid] : int8_t{-1};
+  }
+  /// Records `l` for `pid` unless a label is already known.
+  void EmplaceLabel(PartitionId pid, int8_t l) {
+    if (pid >= label.size()) label.resize(pid + 1, -1);
+    if (label[pid] == -1) label[pid] = l;
+  }
 };
 
 /// Books one observed QPF output into the context: memoises the bit, updates
 /// the partition's T/F tallies and fires the early-stop inference of Sec. 6.2
 /// (a non-homogeneous NS partition implies its partner is homogeneous).
 void RecordOutcome(PredCtx* pc, TupleId tid, bool out) {
-  const PartitionId pid = pc->pop->partition_of(tid);
-  const int idx = pc->NsIndexOf(pid);
+  if (pc->seen.Get(tid)) return;  // already known
+  const int idx = pc->NsIndexOf(pc->pop->partition_of(tid));
   assert(idx >= 0);
   PredCtx::Ns& ns = pc->ns[idx];
-  if (!ns.outcome.emplace(tid, out).second) return;  // already known
+  pc->seen.Set(tid);
+  pc->value.Assign(tid, out);
+  ns.outcomes.emplace_back(tid, out);
   (out ? ns.t_count : ns.f_count)++;
   if (ns.t_count > 0 && ns.f_count > 0 && pc->ns_count == 2) {
     // This partition is the separating one; the partner is homogeneous with
@@ -107,41 +130,40 @@ void RecordOutcome(PredCtx* pc, TupleId tid, bool out) {
   }
 }
 
-/// Evaluates `td` on `tid` for this context, spending a QPF use only when the
-/// outcome is not already implied. Returns 0/1.
-bool EvalForTuple(PredCtx* pc, edbms::Edbms* db, TupleId tid) {
-  const PartitionId pid = pc->pop->partition_of(tid);
-  if (auto it = pc->label_by_pid.find(pid); it != pc->label_by_pid.end()) {
-    return it->second == 1;
-  }
-  const int idx = pc->NsIndexOf(pid);
-  assert(idx >= 0);
-  PredCtx::Ns& ns = pc->ns[idx];
-  if (ns.known != -1) return ns.known == 1;
-  if (auto it = ns.outcome.find(tid); it != ns.outcome.end()) {
-    return it->second;
-  }
-  MdMetrics::Get().evals->Add(1);
-  const bool out = db->Eval(*pc->td, tid);
-  RecordOutcome(pc, tid, out);
-  return out;
-}
-
 /// Tri-state classification of `tid` under `pc` without spending QPF:
 /// 1 sure-true, 0 sure-false, -1 needs evaluation.
 int8_t ClassifyTuple(const PredCtx& pc, TupleId tid) {
   const PartitionId pid = pc.pop->partition_of(tid);
-  if (auto it = pc.label_by_pid.find(pid); it != pc.label_by_pid.end()) {
-    return it->second;
-  }
+  if (const int8_t l = pc.LabelOf(pid); l != -1) return l;
   const int idx = pc.NsIndexOf(pid);
   if (idx < 0) return 0;  // not covered by this chain (defensive)
   if (pc.ns[idx].known != -1) return pc.ns[idx].known;
-  if (auto it = pc.ns[idx].outcome.find(tid); it != pc.ns[idx].outcome.end()) {
-    return it->second ? 1 : 0;
-  }
+  if (pc.seen.Get(tid)) return pc.value.Get(tid) ? 1 : 0;
   return -1;
 }
+
+/// Step 3's per-chain slice of the central region: the chain positions
+/// every trapdoor on the chain labels sure-True, and their tuple count.
+struct ChainBand {
+  const Pop* pop = nullptr;
+  std::vector<uint8_t> in_band;  // by chain position
+  size_t size = 0;
+
+  /// Calls `fn` on every tuple inside (`inside`) or outside the band.
+  template <typename Fn>
+  void ForEachMember(bool inside, Fn&& fn) const {
+    for (size_t pos = 0; pos < pop->k(); ++pos) {
+      if ((in_band[pos] != 0) == inside) pop->members_at(pos).ForEach(fn);
+    }
+  }
+};
+
+/// Step 5's split grouping: one NS partition's outcomes by *current*
+/// partition (a sibling trapdoor's split may have fragmented it).
+struct OutcomeGroup {
+  PartitionId pid = Pop::kNoPartition;
+  std::vector<TupleId> t_members, f_members;
+};
 
 }  // namespace
 
@@ -151,6 +173,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
   const obs::ObsTracer::Span span("md.select");
   const MdMetrics& metrics = MdMetrics::Get();
   metrics.invocations->Add(1);
+  const size_t num_rows = db_->num_rows();
 
   // ---- Step 1: QFilter every trapdoor; classify partitions. ----
   // The fast-path consult runs first so only cache-missing dimensions filter;
@@ -165,6 +188,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
     pc.td = tds[i];
     pc.pop = &pops_.at(tds[i]->attr);
     if (pc.pop->k() == 0) return {};
+    pc.label.assign(pc.pop->pid_bound(), -1);
     if (options_.fast_path) {
       pc.fp = FingerprintTrapdoor(*tds[i]);
       if (const Pop::FastPathEntry* e = pc.pop->LookupFastPath(pc.fp)) {
@@ -176,7 +200,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
         const size_t cpos = pc.pop->CutPos(*cut);
         for (size_t pos = 0; pos < pc.pop->k(); ++pos) {
           const bool label = (pos < cpos) == cut->left_label;
-          pc.label_by_pid.emplace(pc.pop->pid_at(pos), label ? 1 : 0);
+          pc.label[pc.pop->pid_at(pos)] = label ? 1 : 0;
         }
         pc.ns_count = 0;
         continue;
@@ -202,6 +226,8 @@ std::vector<TupleId> PrkbIndex::RunMd(
       pc.ns[1].pid = pc.pop->pid_at(pc.filter.ns_b);
       pc.ns_count = 2;
     }
+    pc.seen.Resize(num_rows);
+    pc.value.Resize(num_rows);
     for (size_t pos = 0; pos < k; ++pos) {
       if (pos == pc.filter.ns_a || pos == pc.filter.ns_b) continue;
       bool label;
@@ -212,72 +238,36 @@ std::vector<TupleId> PrkbIndex::RunMd(
         label = pos < pc.filter.ns_a ? pc.filter.label_first
                                      : pc.filter.label_last;
       }
-      pc.label_by_pid.emplace(pc.pop->pid_at(pos), label ? 1 : 0);
+      pc.label[pc.pop->pid_at(pos)] = label ? 1 : 0;
     }
   }
 
-  std::vector<TupleId> result;
-  BitVector visited(db_->num_rows());
+  BitVector visited(num_rows);
+  BitVector won(num_rows);
   const edbms::BatchPolicy policy = options_.scan_policy();
+  // batch_size <= 1 is the paper's scalar model: one-tuple chunks, so every
+  // evaluation is its own round trip, in the same order as a per-tuple loop.
+  const size_t chunk = std::max<size_t>(policy.batch_size, 1);
 
   // ---- Step 2: test tuples in the NS bands (Fig. 6b / Fig. 7). ----
+  // Each band is processed in chunks. Tuples of a chunk advance in lockstep
+  // rounds — each round classifies every still-alive tuple, groups the ones
+  // needing an evaluation by their first undecided trapdoor, and ships one
+  // round trip per trapdoor. Per-tuple short-circuiting is preserved exactly
+  // (a tuple rejected by round r is never evaluated in round r+1); the
+  // partition-level early-stop inference fires with at most one chunk of
+  // slack, because bits already in flight within a round are paid for.
+  std::vector<TupleId> alive, waiting;
+  std::vector<std::vector<TupleId>> need(preds.size());
   for (PredCtx& owner : preds) {
     for (int i = 0; i < owner.ns_count; ++i) {
       // Materialise: the iteration set is the membership at classification
       // time, in ascending tuple order.
       const std::vector<TupleId> members =
           owner.pop->members(owner.ns[i].pid).ToVector();
-
-      if (!policy.batched()) {
-        // Scalar path: per tuple, cheap classification pass, then undecided
-        // trapdoors in order with a stop at the first 0.
-        for (TupleId tid : members) {
-          if (visited.Get(tid)) continue;
-          visited.Set(tid);
-          metrics.band_tuples->Add(1);
-
-          // Cheap pass: reject on any sure-false trapdoor, collect the
-          // undecided ones.
-          bool rejected = false;
-          for (const PredCtx& pc : preds) {
-            if (ClassifyTuple(pc, tid) == 0) {
-              rejected = true;
-              break;
-            }
-          }
-          if (rejected) {
-            metrics.pruned_free->Add(1);
-            continue;
-          }
-
-          // Expensive pass: evaluate undecided trapdoors, stop at first 0.
-          bool all_true = true;
-          for (PredCtx& pc : preds) {
-            if (ClassifyTuple(pc, tid) == 1) continue;
-            if (!EvalForTuple(&pc, db_, tid)) {
-              all_true = false;
-              break;
-            }
-          }
-          if (all_true) result.push_back(tid);
-        }
-        continue;
-      }
-
-      // Batched path: process the band in chunks of batch_size. Tuples of a
-      // chunk advance in lockstep rounds — each round classifies every still-
-      // alive tuple, groups the ones needing an evaluation by their first
-      // undecided trapdoor, and ships one batch round trip per trapdoor.
-      // Per-tuple short-circuiting is preserved exactly (a tuple rejected by
-      // round r is never evaluated in round r+1); the partition-level early-
-      // stop inference fires with at most one chunk of slack, because bits
-      // already in flight within a batch are paid for.
-      for (size_t base = 0; base < members.size();
-           base += policy.batch_size) {
-        const size_t end =
-            std::min(members.size(), base + policy.batch_size);
-        std::vector<TupleId> alive;
-        alive.reserve(end - base);
+      for (size_t base = 0; base < members.size(); base += chunk) {
+        const size_t end = std::min(members.size(), base + chunk);
+        alive.clear();
         for (size_t m = base; m < end; ++m) {
           const TupleId tid = members[m];
           if (visited.Get(tid)) continue;
@@ -285,12 +275,13 @@ std::vector<TupleId> PrkbIndex::RunMd(
           alive.push_back(tid);
         }
         metrics.band_tuples->Add(alive.size());
-        const std::vector<TupleId> chunk_order = alive;
-        std::unordered_map<TupleId, bool> won;
-
+        // Rejections in a chunk's first round come from free sure-false
+        // classes alone: no tuple of the chunk has been evaluated yet.
+        bool first_round = true;
         while (!alive.empty()) {
-          std::vector<std::vector<TupleId>> need(preds.size());
-          std::vector<TupleId> waiting;
+          for (std::vector<TupleId>& n : need) n.clear();
+          waiting.clear();
+          uint64_t rejected_free = 0;
           for (TupleId tid : alive) {
             bool rejected = false;
             int first_undecided = -1;
@@ -304,16 +295,20 @@ std::vector<TupleId> PrkbIndex::RunMd(
                 first_undecided = static_cast<int>(p);
               }
             }
-            if (rejected) continue;
+            if (rejected) {
+              rejected_free += first_round ? 1 : 0;
+              continue;
+            }
             if (first_undecided < 0) {
-              won.emplace(tid, true);  // sure-true under every trapdoor
+              won.Set(tid);  // sure-true under every trapdoor
               continue;
             }
             need[first_undecided].push_back(tid);
             waiting.push_back(tid);
           }
-          alive = std::move(waiting);
-          if (alive.empty()) break;
+          metrics.pruned_free->Add(rejected_free);
+          first_round = false;
+          std::swap(alive, waiting);
           for (size_t p = 0; p < preds.size(); ++p) {
             if (need[p].empty()) continue;
             metrics.evals->Add(need[p].size());
@@ -324,66 +319,74 @@ std::vector<TupleId> PrkbIndex::RunMd(
             }
           }
         }
-        for (TupleId tid : chunk_order) {
-          if (won.contains(tid)) result.push_back(tid);
-        }
       }
     }
   }
 
   // ---- Step 3: central region — sure-True under every trapdoor. ----
-  {
-    const PredCtx& first = preds[0];
-    const size_t k = first.pop->k();
-    for (size_t pos = 0; pos < k; ++pos) {
-      const PartitionId pid = first.pop->pid_at(pos);
-      const auto it = first.label_by_pid.find(pid);
-      const bool sure_true =
-          (it != first.label_by_pid.end() && it->second == 1) ||
-          (first.NsIndexOf(pid) >= 0 &&
-           first.ns[first.NsIndexOf(pid)].known == 1);
-      if (!sure_true) continue;
-      first.pop->members(pid).ForEach([&](TupleId tid) {
-        if (visited.Get(tid)) return;
-        bool all_true = true;
-        for (size_t p = 1; p < preds.size(); ++p) {
-          if (ClassifyTuple(preds[p], tid) != 1) {
-            all_true = false;
-            break;
-          }
-        }
-        if (all_true) result.push_back(tid);
-      });
+  // Per chain, the band is the union of the partitions that every trapdoor
+  // on that chain labels sure-True; the region is the intersection of the
+  // bands. Every queried chain covers the same tuples (the live rows; a
+  // buffered dimension flushes before the grid runs), so intersecting with
+  // a band equals clearing every tuple outside it: the smallest band seeds
+  // the region and each other chain takes whichever side touches fewer
+  // tuples. NS partitions carry no label yet, so they lie outside every
+  // band; Step 2 decided their tuples one by one into `won`.
+  std::vector<ChainBand> bands;
+  for (const PredCtx& pc : preds) {
+    auto b = std::find_if(
+        bands.begin(), bands.end(),
+        [&pc](const ChainBand& x) { return x.pop == pc.pop; });
+    if (b == bands.end()) {
+      b = bands.insert(bands.end(),
+                       ChainBand{pc.pop, std::vector<uint8_t>(pc.pop->k(), 1)});
+    }
+    for (size_t pos = 0; pos < pc.pop->k(); ++pos) {
+      if (pc.LabelOf(pc.pop->pid_at(pos)) != 1) b->in_band[pos] = 0;
     }
   }
+  for (ChainBand& b : bands) {
+    assert(b.pop->num_tuples() == bands.front().pop->num_tuples());
+    for (size_t pos = 0; pos < b.pop->k(); ++pos) {
+      if (b.in_band[pos]) b.size += b.pop->members_at(pos).Size();
+    }
+  }
+  std::iter_swap(bands.begin(),
+                 std::min_element(bands.begin(), bands.end(),
+                                  [](const ChainBand& x, const ChainBand& y) {
+                                    return x.size < y.size;
+                                  }));
+  BitVector central(num_rows);
+  bands.front().ForEachMember(true, [&](TupleId t) { central.Set(t); });
+  for (size_t c = 1; c < bands.size(); ++c) {
+    const ChainBand& b = bands[c];
+    if (b.size <= b.pop->num_tuples() - b.size) {
+      BitVector band(num_rows);
+      b.ForEachMember(true, [&](TupleId t) { band.Set(t); });
+      central.And(band);
+    } else {
+      b.ForEachMember(false, [&](TupleId t) { central.Clear(t); });
+    }
+  }
+  central.Or(won);
+  std::vector<TupleId> result = central.ToIndices();
 
   // ---- Step 4 (optional, ablation): finish incomplete NS scans. ----
+  // Chunk-granular early stop: the inference check runs between round
+  // trips.
   if (options_.eager_md_update) {
     for (PredCtx& pc : preds) {
       for (int i = 0; i < pc.ns_count; ++i) {
         PredCtx::Ns& ns = pc.ns[i];
         if (ns.known != -1) continue;
-        if (!policy.batched()) {
-          for (TupleId tid : pc.pop->members(ns.pid).ToVector()) {
-            if (!ns.outcome.contains(tid)) EvalForTuple(&pc, db_, tid);
-            if (ns.known != -1) break;  // partner inference fired
-          }
-          continue;
-        }
-        // Chunk-granular early stop: the inference check runs between batch
-        // round trips instead of between scalar calls.
         const std::vector<TupleId> members =
             pc.pop->members(ns.pid).ToVector();
-        for (size_t base = 0;
-             base < members.size() && ns.known == -1;
-             base += policy.batch_size) {
-          const size_t end =
-              std::min(members.size(), base + policy.batch_size);
+        for (size_t base = 0; base < members.size() && ns.known == -1;
+             base += chunk) {
+          const size_t end = std::min(members.size(), base + chunk);
           std::vector<TupleId> missing;
           for (size_t m = base; m < end; ++m) {
-            if (!ns.outcome.contains(members[m])) {
-              missing.push_back(members[m]);
-            }
+            if (!pc.seen.Get(members[m])) missing.push_back(members[m]);
           }
           if (missing.empty()) continue;
           const std::vector<uint8_t> bits =
@@ -401,66 +404,64 @@ std::vector<TupleId> PrkbIndex::RunMd(
     for (int i = 0; i < pc.ns_count; ++i) {
       PredCtx::Ns& ns = pc.ns[i];
       if (ns.known != -1) {
-        pc.label_by_pid.emplace(ns.pid, ns.known);
+        pc.EmplaceLabel(ns.pid, ns.known);
         continue;
       }
       if (ns.t_count == 0 || ns.f_count == 0) {
         // Homogeneous as far as observed. Record the label only on full
         // coverage (an unscanned remainder could still differ).
-        if (ns.outcome.size() == pc.pop->members(ns.pid).Size()) {
-          pc.label_by_pid.emplace(ns.pid, ns.t_count > 0 ? 1 : 0);
+        if (ns.outcomes.size() == pc.pop->members(ns.pid).Size()) {
+          pc.EmplaceLabel(ns.pid, ns.t_count > 0 ? 1 : 0);
         }
         continue;
       }
       // Mixed. Group outcomes by *current* partition: an earlier split (by
       // the sibling trapdoor of the same attribute) may have fragmented the
       // original NS partition.
-      std::unordered_map<PartitionId, std::pair<std::vector<TupleId>,
-                                                std::vector<TupleId>>>
-          groups;
-      for (const auto& [tid, out] : ns.outcome) {
-        auto& g = groups[pc.pop->partition_of(tid)];
-        (out ? g.first : g.second).push_back(tid);
+      std::vector<OutcomeGroup> groups;
+      for (const auto& [tid, out] : ns.outcomes) {
+        const PartitionId pid = pc.pop->partition_of(tid);
+        auto g = std::find_if(groups.begin(), groups.end(),
+                              [pid](const OutcomeGroup& x) {
+                                return x.pid == pid;
+                              });
+        if (g == groups.end()) g = groups.insert(groups.end(), {pid, {}, {}});
+        (out ? g->t_members : g->f_members).push_back(tid);
       }
       // First pass: record the labels of fully-covered homogeneous groups —
-      // they are the orientation evidence the mixed group needs, regardless
-      // of hash-map iteration order.
-      for (auto& [pid, g] : groups) {
-        auto& [t_members, f_members] = g;
-        if (t_members.size() + f_members.size() !=
-                pc.pop->members(pid).Size() ||
-            (!t_members.empty() && !f_members.empty())) {
+      // they are the orientation evidence the mixed group needs, whatever
+      // the group order.
+      for (const OutcomeGroup& g : groups) {
+        if (g.t_members.size() + g.f_members.size() !=
+                pc.pop->members(g.pid).Size() ||
+            (!g.t_members.empty() && !g.f_members.empty())) {
           continue;
         }
-        pc.label_by_pid.emplace(pid, t_members.empty() ? 0 : 1);
+        pc.EmplaceLabel(g.pid, g.t_members.empty() ? 0 : 1);
       }
-      for (auto& [pid, g] : groups) {
-        auto& [t_members, f_members] = g;
-        if (t_members.size() + f_members.size() !=
+      for (OutcomeGroup& g : groups) {
+        const PartitionId pid = g.pid;
+        if (g.t_members.size() + g.f_members.size() !=
             pc.pop->members(pid).Size()) {
           continue;  // incomplete (lazy mode): cannot split safely
         }
-        if (t_members.empty() || f_members.empty()) {
+        if (g.t_members.empty() || g.f_members.empty()) {
           continue;  // homogeneous: label recorded above
         }
         // The separating point is inside this fragment, so the partner NS
         // partition is homogeneous with its outside label.
         if (pc.ns_count == 2) {
           const int partner = 1 - i;
-          pc.label_by_pid.emplace(pc.ns[partner].pid,
-                                  pc.outside_label(partner) ? 1 : 0);
+          pc.EmplaceLabel(pc.ns[partner].pid,
+                          pc.outside_label(partner) ? 1 : 0);
         }
         // Orient against a neighbour with a known label for this trapdoor.
         const size_t pos = pc.pop->pos_of(pid);
-        int8_t left_label = -1, right_label = -1;
-        if (pos > 0) {
-          auto it = pc.label_by_pid.find(pc.pop->pid_at(pos - 1));
-          if (it != pc.label_by_pid.end()) left_label = it->second;
-        }
-        if (pos + 1 < pc.pop->k()) {
-          auto it = pc.label_by_pid.find(pc.pop->pid_at(pos + 1));
-          if (it != pc.label_by_pid.end()) right_label = it->second;
-        }
+        const int8_t left_label =
+            pos > 0 ? pc.LabelOf(pc.pop->pid_at(pos - 1)) : int8_t{-1};
+        const int8_t right_label = pos + 1 < pc.pop->k()
+                                       ? pc.LabelOf(pc.pop->pid_at(pos + 1))
+                                       : int8_t{-1};
         bool true_half_left;
         if (left_label != -1) {
           true_half_left = left_label == 1;
@@ -472,9 +473,9 @@ std::vector<TupleId> PrkbIndex::RunMd(
           continue;  // no orientation evidence; leave unsplit
         }
         std::vector<TupleId> left =
-            true_half_left ? std::move(t_members) : std::move(f_members);
+            true_half_left ? std::move(g.t_members) : std::move(g.f_members);
         std::vector<TupleId> right =
-            true_half_left ? std::move(f_members) : std::move(t_members);
+            true_half_left ? std::move(g.f_members) : std::move(g.t_members);
         const uint64_t cut_id = pc.pop->SplitPartition(
             pid, std::move(left), std::move(right), *pc.td, true_half_left);
         // The split resolves this trapdoor's unique separating point, so the
@@ -483,15 +484,14 @@ std::vector<TupleId> PrkbIndex::RunMd(
         // The halves now have known labels for every trapdoor that knew the
         // original partition; record ours and propagate the others.
         const PartitionId left_pid = pc.pop->pid_at(pos);
-        pc.label_by_pid.emplace(left_pid, true_half_left ? 1 : 0);
-        pc.label_by_pid.emplace(pid, true_half_left ? 0 : 1);
+        pc.EmplaceLabel(left_pid, true_half_left ? 1 : 0);
+        pc.EmplaceLabel(pid, true_half_left ? 0 : 1);
         for (PredCtx& other : preds) {
           // Partition ids are only meaningful within one chain: propagate to
           // the sibling trapdoors of the same attribute only.
           if (&other == &pc || other.pop != pc.pop) continue;
-          if (auto it = other.label_by_pid.find(pid);
-              it != other.label_by_pid.end()) {
-            other.label_by_pid.emplace(left_pid, it->second);
+          if (const int8_t l = other.LabelOf(pid); l != -1) {
+            other.EmplaceLabel(left_pid, l);
           }
         }
       }

@@ -114,6 +114,9 @@ class Pop {
   size_t num_tuples() const { return num_tuples_; }
 
   PartitionId pid_at(size_t pos) const { return chain_[pos]; }
+  /// Exclusive upper bound on the partition ids issued so far (ids of
+  /// merged-away partitions included), for flat per-pid scratch arrays.
+  size_t pid_bound() const { return slots_.size(); }
   size_t pos_of(PartitionId pid) const { return pos_[pid]; }
   const MemberSet& members(PartitionId pid) const {
     return slots_[pid].members;

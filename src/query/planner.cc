@@ -141,11 +141,11 @@ bool CollapseGroup(const AttrGroup& group, CollapsedPred* out) {
 /// inflates QPF uses, so keep the index default (0). Above the floor, search
 /// the grid and let PriceNs trade probe inflation against trip savings per
 /// route. Reading the calibrator (not the static hint) is what lets a
-/// mid-run latency shift open or close the fanout search without a restart.
+/// mid-run latency shift open or close the fanout search without a restart;
+/// the calibrator's hysteresis keeps a lone stalled round from doing so.
 std::vector<size_t> CandidateFanouts(const core::PrkbIndex& index) {
   if (index.options().sequential_probes ||
-      index.calibrator().rt_latency_ns() <
-          exec::CostCalibrator::kCalibratedFanoutFloorNs) {
+      !index.calibrator().fanout_search_open()) {
     return {0};
   }
   return {2, 4, 8, 16};

@@ -1,6 +1,7 @@
 // Unit tests for the online cost calibrator (src/exec/calibrate.h): EWMA
-// convergence, the warmup floor, hint-as-floor latency semantics, residual
-// eval fitting, and the route penalty / regret accounting.
+// convergence, the warmup floor, hint-as-floor latency semantics, the
+// fan-out floor's hysteresis, residual eval fitting, and the route penalty /
+// regret accounting.
 
 #include "exec/calibrate.h"
 
@@ -83,6 +84,51 @@ TEST(CalibratorTest, HintActsAsLatencyFloor) {
   // Measurements above the hint do raise it.
   for (int i = 0; i < 40; ++i) cal.ObserveRoundTrips(1, 5'000'000);
   EXPECT_GT(cal.rt_latency_ns(), 1e6);
+}
+
+TEST(CalibratorTest, FanoutSearchNeedsThreeFitsPastTheFloor) {
+  constexpr double kFloor = CostCalibrator::kCalibratedFanoutFloorNs;
+  constexpr int kSwitch = CostCalibrator::kFanoutSwitchFits;
+  CostCalibrator cal(kDefaultEval, 0.0);
+  // A warmed loopback transport, far below the floor.
+  for (uint64_t i = 0; i < CostCalibrator::kWarmupSamples; ++i) {
+    cal.ObserveRoundTrips(1, 1'000);
+  }
+  EXPECT_FALSE(cal.fanout_search_open());
+
+  // One stalled round lifts the fit far above the floor for several fits,
+  // but its neighbours' samples are loopback ones: the grid stays shut.
+  cal.ObserveRoundTrips(1, 10'000'000);
+  EXPECT_GT(cal.rt_latency_ns(), kFloor);
+  EXPECT_FALSE(cal.fanout_search_open());
+  for (int i = 0; i < 4; ++i) {
+    cal.ObserveRoundTrips(1, 1'000);
+    EXPECT_GT(cal.rt_latency_ns(), kFloor);
+    EXPECT_FALSE(cal.fanout_search_open());
+  }
+
+  // Three slow rounds in a row open it, on the third.
+  for (int i = 1; i <= kSwitch; ++i) {
+    cal.ObserveRoundTrips(1, 50'000);
+    EXPECT_EQ(cal.fanout_search_open(), i == kSwitch) << "slow round " << i;
+  }
+
+  // Back on loopback, it closes on the third fit below the floor.
+  int below = 0;
+  for (int i = 0; i < 40 && cal.fanout_search_open(); ++i) {
+    cal.ObserveRoundTrips(1, 1'000);
+    below = cal.rt_latency_ns() < kFloor ? below + 1 : 0;
+    ASSERT_LE(below, kSwitch);
+  }
+  EXPECT_FALSE(cal.fanout_search_open());
+  EXPECT_EQ(below, kSwitch);
+}
+
+TEST(CalibratorTest, HintAboveFloorKeepsFanoutSearchOpen) {
+  CostCalibrator cal(kDefaultEval, /*rt_latency_hint_ns=*/3e5);
+  EXPECT_TRUE(cal.fanout_search_open());  // before any fit
+  for (int i = 0; i < 40; ++i) cal.ObserveRoundTrips(1, 1'000);
+  EXPECT_TRUE(cal.fanout_search_open());  // the hint floors the fit
 }
 
 TEST(CalibratorTest, EvalFitIsTransportResidual) {

@@ -154,6 +154,89 @@ TEST(ConcurrentStressTest, MixedRepeatFreshChurnStaysExact) {
   }
 }
 
+// PRKB(MD) boxes race single-attribute selections and churn. Churn rows take
+// values above every box's and every comparison's domain, so no inserted row
+// ever satisfies a query and every answer must equal the plaintext oracle
+// over the stable rows at any interleaving.
+TEST(ConcurrentStressTest, MdBoxesBesideSelectsAndChurnStayExact) {
+  constexpr Value kDomain = 1000;
+  Rng data_rng(23);
+  auto plain = testutil::RandomTable(kStableRows, 2, &data_rng, 0, kDomain);
+  auto db = edbms::CipherbaseEdbms::FromPlainTable(44, plain);
+  core::ConcurrentPrkbIndex index(&db, core::PrkbOptions{.batch_size = 16});
+  index.EnableAttr(0);
+  index.EnableAttr(1);
+
+  struct Query {
+    std::vector<edbms::Trapdoor> tds;
+    std::vector<TupleId> expect;
+  };
+  // Two box threads and one single-predicate thread, pre-issued.
+  constexpr int kBoxThreads = 2;
+  constexpr int kOps = 24;
+  std::vector<std::vector<Query>> work(kBoxThreads + 1);
+  Rng qrng(31);
+  for (int t = 0; t < kBoxThreads; ++t) {
+    for (int i = 0; i < kOps; ++i) {
+      Query q;
+      std::vector<PlainPredicate> plains;
+      for (edbms::AttrId a = 0; a < 2; ++a) {
+        const Value lo = qrng.UniformInt64(0, kDomain);
+        const Value hi = lo + qrng.UniformInt64(0, kDomain / 2);
+        q.tds.push_back(db.MakeComparison(a, CompareOp::kGt, lo));
+        q.tds.push_back(db.MakeComparison(a, CompareOp::kLt, hi));
+        plains.push_back({.attr = a, .op = CompareOp::kGt, .lo = lo});
+        plains.push_back({.attr = a, .op = CompareOp::kLt, .lo = hi});
+      }
+      q.expect = testutil::OracleSelectAll(plain, plains);
+      work[t].push_back(std::move(q));
+    }
+  }
+  for (int i = 0; i < kOps; ++i) {
+    Query q;
+    const PlainPredicate pred{.attr = static_cast<edbms::AttrId>(i % 2),
+                              .op = CompareOp::kLt,
+                              .lo = qrng.UniformInt64(0, kDomain)};
+    q.tds.push_back(db.MakeComparison(pred.attr, pred.op, pred.lo));
+    q.expect = testutil::OracleSelect(plain, pred);
+    work[kBoxThreads].push_back(std::move(q));
+  }
+
+  std::atomic<int> failures{0};
+  auto runner = [&](int t) {
+    for (const Query& q : work[t]) {
+      std::vector<TupleId> got = t < kBoxThreads
+                                     ? index.SelectRangeMd(q.tds)
+                                     : index.Select(q.tds[0]);
+      if (testutil::Sorted(std::move(got)) != q.expect) failures.fetch_add(1);
+    }
+  };
+  std::vector<TupleId> churn_tids;
+  auto churner = [&] {
+    Rng rng(998);
+    for (int i = 0; i < 30; ++i) {
+      const Value v0 = rng.UniformInt64(2 * kDomain, 3 * kDomain);
+      const Value v1 = rng.UniformInt64(2 * kDomain, 3 * kDomain);
+      churn_tids.push_back(index.Insert({v0, v1}));
+      if (i % 3 == 2) index.Delete(churn_tids[churn_tids.size() - 2]);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t <= kBoxThreads; ++t) threads.emplace_back(runner, t);
+  threads.emplace_back(churner);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  index.WithLocked([&](core::PrkbIndex& inner) {
+    for (edbms::AttrId a = 0; a < 2; ++a) {
+      EXPECT_TRUE(inner.pop(a).Validate().ok()) << "attr " << a;
+    }
+    EXPECT_EQ(inner.pop(0).num_tuples(), kStableRows + 20);
+    return 0;
+  });
+}
+
 TEST(ConcurrentStressTest, ReadOnlyStatsRaceSelections) {
   Rng data_rng(22);
   auto plain = testutil::RandomTable(200, 1, &data_rng, 0, 1000);
