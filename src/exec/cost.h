@@ -63,11 +63,6 @@ struct CostConstants {
   double round_trip_latency_ns = 0.0;
   /// Assumed compute cost of one QPF evaluation, in ns.
   double eval_ns = 1000.0;
-  /// Deferred-insert routing bias (PrkbOptions::buffer_flush_horizon): flush
-  /// the buffer when its one-off price is within this factor of a single
-  /// buffered scan — the flush pays once, the scan recurs on every query
-  /// until someone flushes (docs/COST_MODEL.md).
-  double buffer_flush_horizon = 8.0;
   /// SSE posting-list work per SRC-i candidate, as a fraction of one QPF
   /// evaluation: the two-level TDAG retrieval decrypts and dedups roughly
   /// one posting per candidate before the TM confirms it.

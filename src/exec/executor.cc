@@ -113,7 +113,6 @@ CostConstants ConstantsFor(const core::PrkbOptions& options,
   c.scan_batch =
       static_cast<double>(options.batch_size < 1 ? 1 : options.batch_size);
   c.round_trip_latency_ns = options.rt_latency_hint_ns;
-  c.buffer_flush_horizon = options.buffer_flush_horizon;
   return c;
 }
 
@@ -275,16 +274,8 @@ std::vector<TupleId> Executor::RunPredicateBody(Plan* plan, PlanNode* node) {
   // so the merge can never duplicate a result.
   if (PlanNode* bscan = node->Child(PlanOp::kBufferScan)) {
     const NodeCost scan_cost(index_->db());
-    const core::Pop& pop = index_->pop(td.attr);
-    std::vector<TupleId> btids;
-    pop.insert_buffer().AppendTo(&btids);
-    const std::vector<uint8_t> sat = edbms::ScanTuples(
-        index_->db(), td, btids, index_->options().scan_policy());
-    for (size_t j = 0; j < btids.size(); ++j) {
-      if (sat[j] != 0) result.push_back(btids[j]);
-    }
+    ScanBuffer(*index_, td, &result);
     scan_cost.Commit(bscan);
-    ExecMetrics::Get().buffered_scans->Add(1);
   }
   cost.Commit(node);
   return result;
@@ -443,6 +434,25 @@ std::vector<TupleId> Executor::Run(Plan* plan, SelectionStats* stats) {
   return result;
 }
 
+void Executor::ScanBuffer(const core::PrkbIndex& index, const Trapdoor& td,
+                          std::vector<TupleId>* out) {
+  const core::InsertBuffer& buf = index.pop(td.attr).insert_buffer();
+  if (buf.Empty()) return;
+  std::vector<TupleId> btids;
+  buf.AppendTo(&btids);
+  const edbms::BatchPolicy policy = index.options().scan_policy();
+  const std::vector<uint8_t> sat =
+      edbms::ScanTuples(index.db_, td, btids, policy);
+  for (size_t j = 0; j < btids.size(); ++j) {
+    if (sat[j] != 0) out->push_back(btids[j]);
+  }
+  // Break-even rent: exactly what ScanTuples just paid, one use per tuple
+  // and one round trip per chunk, whatever else shares the oracle meanwhile.
+  const size_t chunk = policy.batched() ? policy.batch_size : 1;
+  buf.AddScanRent(btids.size(), (btids.size() + chunk - 1) / chunk);
+  ExecMetrics::Get().buffered_scans->Add(1);
+}
+
 bool Executor::TryRunReadOnly(const core::PrkbIndex& index, const Plan& plan,
                               std::vector<TupleId>* out,
                               SelectionStats* stats) {
@@ -480,16 +490,8 @@ bool Executor::TryRunReadOnly(const core::PrkbIndex& index, const Plan& plan,
       *out = pop.AssembleFastPath(*e);
       // The scan route mutates nothing: batch-test the buffer and merge, as
       // the exclusive path would. QPF evaluation is thread-safe.
-      if (root.Child(PlanOp::kBufferScan) != nullptr &&
-          !pop.insert_buffer().Empty()) {
-        std::vector<TupleId> btids;
-        pop.insert_buffer().AppendTo(&btids);
-        const std::vector<uint8_t> sat = edbms::ScanTuples(
-            index.db_, td, btids, index.options().scan_policy());
-        for (size_t j = 0; j < btids.size(); ++j) {
-          if (sat[j] != 0) out->push_back(btids[j]);
-        }
-        ExecMetrics::Get().buffered_scans->Add(1);
+      if (root.Child(PlanOp::kBufferScan) != nullptr) {
+        ScanBuffer(index, td, out);
       }
       return true;
     }
@@ -540,21 +542,26 @@ PlanNode BuildPredicateNode(const core::PrkbIndex& index, const Plan& plan,
 
   // Deferred-insert routing (DESIGN.md §14, docs/COST_MODEL.md): a pending
   // buffer must be either flushed onto the chain or batch-scanned for this
-  // query to stay exact. Flush pays its placement probes once; the scan
-  // recurs on every query until someone flushes — so flush wins whenever its
-  // one-off price is within buffer_flush_horizon of a single scan (always at
-  // high transport latency, where the lock-step rounds dominate), and
-  // unconditionally once the buffer hits the synchronous-flush cap.
-  const size_t buffered = index.pop(td.attr).insert_buffer().Size();
+  // query to stay exact. Break-even (ski rental): keep paying the scan until
+  // the rent paid since the buffer was last empty, plus this query's scan,
+  // reaches the flush's one-off price — or the buffer hits the
+  // synchronous-flush cap. Priced with configured constants only, never the
+  // calibrator, so the route is a function of the op sequence and not of
+  // host speed; and at the fan-out BatchPlace really uses, not the plan's.
+  const core::Pop& bpop = index.pop(td.attr);
+  const core::InsertBuffer& ibuf = bpop.insert_buffer();
+  const size_t buffered = ibuf.Size();
   if (buffered != 0) {
-    const CostEstimate flush_est =
-        EstimateBufferFlush(buffered, index.pop(td.attr).k(), cc);
-    const CostEstimate scan_est = EstimateBufferScan(buffered, cc);
+    const CostConstants rc = ConstantsFor(index.options(), 0);
+    const CostEstimate flush_est = EstimateBufferFlush(buffered, bpop.k(), rc);
+    const CostEstimate scan_est = EstimateBufferScan(buffered, rc);
+    CostEstimate rent = scan_est;
+    rent.scans += static_cast<double>(ibuf.rent_uses());
+    rent.round_trips += static_cast<double>(ibuf.rent_trips());
     const bool cap_hit = index.options().max_buffered_inserts != 0 &&
                          buffered >= index.options().max_buffered_inserts;
     const bool flush =
-        cap_hit || PriceNs(flush_est, cc) <=
-                       cc.buffer_flush_horizon * PriceNs(scan_est, cc);
+        cap_hit || PriceNs(rent, rc) >= PriceNs(flush_est, rc);
     PlanNode buf(flush ? PlanOp::kBufferFlush : PlanOp::kBufferScan, td.attr,
                  i);
     buf.detail = std::to_string(buffered) + " buffered";

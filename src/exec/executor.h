@@ -53,6 +53,13 @@ class Executor {
                                          const core::ProbeSchedOptions& sopt);
   std::vector<edbms::TupleId> RunIntersect(Plan* plan, PlanNode* node);
   std::vector<edbms::TupleId> RunGridPrune(Plan* plan, PlanNode* node);
+  /// Scan route over the pending insert buffer: batch-tests the buffered
+  /// tuples, appends the winners to `out` and charges the spend to the
+  /// buffer's break-even rent. Mutates no knowledge, so shared-lock
+  /// readers may call it concurrently.
+  static void ScanBuffer(const core::PrkbIndex& index,
+                         const edbms::Trapdoor& td,
+                         std::vector<edbms::TupleId>* out);
 
   core::PrkbIndex* index_;
 };

@@ -158,6 +158,7 @@ class ConcurrentPrkbIndex {
       edbms::TupleId tid;
       {
         const auto map_lock = LockExclusive(map_mu_);
+        const obs::ObsTracer::Span span("update.store_write");
         tid = index_.db()->Insert(row);
       }
       const auto map_lock = LockShared(map_mu_);

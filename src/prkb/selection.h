@@ -67,18 +67,15 @@ struct PrkbOptions {
   double rt_latency_hint_ns = 0.0;
   /// POPE-style deferred inserts (DESIGN.md §14): Insert appends the tuple
   /// to a per-chain unsorted buffer in O(1) with zero QPF; placement waits
-  /// until a selection touches the chain, which either batch-scans the
-  /// buffer or flushes it through one lock-step m-ary placement — whichever
-  /// the cost model prices cheaper. `false` keeps eager per-tuple placement
-  /// (the paper's Sec. 7.1 behaviour).
+  /// until a selection touches the chain, which batch-scans the buffer
+  /// until the scans' rent reaches the price of flushing it through one
+  /// lock-step m-ary placement, then flushes (break-even; COST_MODEL.md).
+  /// `false` keeps eager per-tuple placement (the paper's Sec. 7.1
+  /// behaviour).
   bool buffered_inserts = false;
   /// Hard cap on buffered tuples per chain; an append that reaches the cap
   /// flushes synchronously. 0 disables the cap.
   size_t max_buffered_inserts = 4096;
-  /// Flush-vs-scan pricing bias: flush when its one-off cost is within this
-  /// factor of a single buffered scan (the flush pays once, the scan on
-  /// every query until someone flushes — see COST_MODEL.md).
-  double buffer_flush_horizon = 8.0;
 
   edbms::BatchPolicy scan_policy() const {
     return edbms::BatchPolicy{batch_size, scan_workers};

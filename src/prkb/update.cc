@@ -471,7 +471,11 @@ edbms::TupleId PrkbIndex::Insert(const std::vector<edbms::Value>& row,
   // StatsScope fills every field (the old manual fill left qpf_batches
   // stale when the caller reused a stats struct across operations).
   edbms::StatsScope scope(db_, stats, "insert");
-  const TupleId tid = db_->Insert(row);
+  TupleId tid = 0;
+  {
+    const obs::ObsTracer::Span span("update.store_write");
+    tid = db_->Insert(row);
+  }
   for (auto& [attr, pop] : pops_) {
     (void)pop;
     if (options_.buffered_inserts) {

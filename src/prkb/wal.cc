@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "prkb/prkb_io.h"
 #include "prkb/selection.h"
 
@@ -494,6 +495,7 @@ bool PrkbWal::compact_pending() const {
 Status PrkbWal::CommitLocked() {
   if (pending_.empty()) return Status::Ok();
   if (log_ == nullptr) return Status::IoError("WAL log not open");
+  const obs::ObsTracer::Span span("wal.commit");
   const size_t n = std::fwrite(pending_.data(), 1, pending_.size(), log_);
   if (n != pending_.size()) return Status::IoError("short WAL append");
   if (options_.fsync_on_commit) {
