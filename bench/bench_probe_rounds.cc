@@ -1,9 +1,10 @@
 // Probe-scheduler benchmark: cold-chain selections (fingerprint-cache
 // misses on a warmed POP chain) swept over scheduler fanout m ∈ {2,4,8,16}
 // × simulated trusted-machine round-trip latency ∈ {0, 100µs, 1ms}. The
-// m = 2 row runs the paper-literal sequential search (one blocking Eval per
-// probe); the others run the m-ary batched scheduler with fusion and
-// speculation on.
+// m = 2 row runs the paper's serial binary searches (one pivot per round,
+// fusion and speculation off; only the two chain-end probes share a round);
+// the others run the m-ary batched scheduler with fusion and speculation
+// on.
 //
 // The point the numbers make: QPF uses rise by the predicted ≤ (m−1)/lg m
 // factor while round trips collapse from ~lg k to ~log_m k per filter, so
@@ -146,11 +147,10 @@ int Run(int argc, char** argv) {
       opts.seed = args.seed;
       opts.batch_size = 4096;
       if (m == 2) {
-        // Paper-literal control: every probe its own blocking round trip.
+        // The paper's configuration: one probe per search round.
         opts.probe_fanout = 2;
         opts.probe_fusion = false;
         opts.speculative_scan = false;
-        opts.sequential_probes = true;
       } else {
         opts.probe_fanout = m;
       }
@@ -247,7 +247,6 @@ int Run(int argc, char** argv) {
       json.BeginRow();
       json.Field("tmlat_ns", lat);
       json.Field("fanout", static_cast<uint64_t>(m));
-      json.Field("sequential", static_cast<uint64_t>(m == 2 ? 1 : 0));
       json.Field("millis", millis);
       json.Field("qpf_uses", uses);
       json.Field("round_trips", trips);

@@ -32,29 +32,6 @@ struct ProbeSchedMetrics {
   }
 };
 
-/// Same registry instruments qfilter.cc records, plus the round-trip pair
-/// the m-ary bound is checked against (rounds_per_call ≤ 2 + ⌈log_m k⌉).
-struct QFilterMetrics {
-  obs::Counter* invocations;
-  obs::Counter* probes;
-  obs::Counter* rounds;
-  obs::LatencyHistogram* chain_k;
-  obs::LatencyHistogram* probes_per_call;
-  obs::LatencyHistogram* rounds_per_call;
-
-  static const QFilterMetrics& Get() {
-    static const QFilterMetrics m = {
-        obs::MetricsRegistry::Global().GetCounter("qfilter.invocations"),
-        obs::MetricsRegistry::Global().GetCounter("qfilter.probes"),
-        obs::MetricsRegistry::Global().GetCounter("qfilter.rounds"),
-        obs::MetricsRegistry::Global().GetHistogram("qfilter.chain_k"),
-        obs::MetricsRegistry::Global().GetHistogram("qfilter.probes_per_call"),
-        obs::MetricsRegistry::Global().GetHistogram("qfilter.rounds_per_call"),
-    };
-    return m;
-  }
-};
-
 }  // namespace
 
 void RecordSpeculativeWaste(const PrepaidScan& prepaid) {

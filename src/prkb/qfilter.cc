@@ -8,30 +8,7 @@
 namespace prkb::core {
 namespace {
 
-/// QFilter telemetry: probe count is the measured side of the paper's
-/// 2 + ⌈lg k⌉ sample bound (docs/COST_MODEL.md).
-struct QFilterMetrics {
-  obs::Counter* invocations;
-  obs::Counter* probes;
-  obs::Counter* rounds;
-  obs::LatencyHistogram* chain_k;
-  obs::LatencyHistogram* probes_per_call;
-  obs::LatencyHistogram* rounds_per_call;
-
-  static const QFilterMetrics& Get() {
-    static const QFilterMetrics m = {
-        obs::MetricsRegistry::Global().GetCounter("qfilter.invocations"),
-        obs::MetricsRegistry::Global().GetCounter("qfilter.probes"),
-        obs::MetricsRegistry::Global().GetCounter("qfilter.rounds"),
-        obs::MetricsRegistry::Global().GetHistogram("qfilter.chain_k"),
-        obs::MetricsRegistry::Global().GetHistogram("qfilter.probes_per_call"),
-        obs::MetricsRegistry::Global().GetHistogram("qfilter.rounds_per_call"),
-    };
-    return m;
-  }
-};
-
-/// The sequential path ships every probe on its own round trip, so its
+/// QFilter() ships every probe on its own round trip, so its
 /// round count equals its probe count.
 void RecordCall(const QFilterMetrics& metrics, uint64_t probes) {
   metrics.probes->Add(probes);
@@ -41,6 +18,18 @@ void RecordCall(const QFilterMetrics& metrics, uint64_t probes) {
 }
 
 }  // namespace
+
+const QFilterMetrics& QFilterMetrics::Get() {
+  static const QFilterMetrics m = {
+      obs::MetricsRegistry::Global().GetCounter("qfilter.invocations"),
+      obs::MetricsRegistry::Global().GetCounter("qfilter.probes"),
+      obs::MetricsRegistry::Global().GetCounter("qfilter.rounds"),
+      obs::MetricsRegistry::Global().GetHistogram("qfilter.chain_k"),
+      obs::MetricsRegistry::Global().GetHistogram("qfilter.probes_per_call"),
+      obs::MetricsRegistry::Global().GetHistogram("qfilter.rounds_per_call"),
+  };
+  return m;
+}
 
 edbms::TupleId SamplePartition(const Pop& pop, size_t pos, Rng* rng) {
   const MemberSet& members = pop.members_at(pos);

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "edbms/qpf.h"
+#include "obs/metrics.h"
 #include "prkb/pop.h"
 
 namespace prkb::core {
@@ -34,8 +35,25 @@ struct QFilterResult {
   bool HasWinners() const { return win_begin < win_end; }
 };
 
-/// QFilter (Sec. 5.1): locates the NS pair with ≈ 2 + lg k sampled QPF calls
-/// by exploiting Lemma 5.1, and derives the Winner group for free.
+/// `qfilter.*` instruments (docs/OBSERVABILITY.md), recorded once per call by
+/// both QFilter() and the probe scheduler: probes are the measured side of
+/// the paper's 2 + ⌈lg k⌉ sample bound, rounds the round-trip side of the
+/// m-ary bound (rounds_per_call ≤ 2 + ⌈log_m k⌉; docs/COST_MODEL.md).
+struct QFilterMetrics {
+  obs::Counter* invocations;
+  obs::Counter* probes;
+  obs::Counter* rounds;
+  obs::LatencyHistogram* chain_k;
+  obs::LatencyHistogram* probes_per_call;
+  obs::LatencyHistogram* rounds_per_call;
+  static const QFilterMetrics& Get();
+};
+
+/// QFilter (Sec. 5.1), the paper's Algorithm 1 as written: locates the NS
+/// pair with ≈ 2 + lg k sampled QPF calls, one blocking call each, by
+/// exploiting Lemma 5.1, and derives the Winner group for free. The
+/// reference the probe scheduler (probe_sched.h) is tested against and the
+/// paper-figure benches' probe cost; selections run ScheduledQFilter.
 /// Requires pop.k() >= 1 and every partition non-empty.
 QFilterResult QFilter(const Pop& pop, const edbms::Trapdoor& td,
                       edbms::QpfOracle* qpf, Rng* rng);

@@ -50,6 +50,10 @@ struct PrkbOptions {
   /// m for the batched probe scheduler (DESIGN.md §11): every search round
   /// evaluates up to m−1 pivot samples in one round trip, cutting the
   /// ~lg k serial probe trips to ~log_m k for ≤ (m−1)/lg m× more QPF uses.
+  /// The paper's serial binary searches (QFilter, BETWEEN's end searches,
+  /// Sec. 7.1 placement) are `probe_fanout = 2` with `probe_fusion` and
+  /// `speculative_scan` off: one pivot per round, and QFilter and placement
+  /// pay exactly the paper's QPF uses.
   size_t probe_fanout = 8;
   /// Fuse concurrent searches (BETWEEN's two end-searches, PRKB(MD)'s
   /// per-dimension filters) into shared probe rounds.
@@ -57,10 +61,6 @@ struct PrkbOptions {
   /// Let the first QScan chunk of the candidate NS partitions ride in the
   /// final QFilter round once the surviving interval is ≤ 2 partitions.
   bool speculative_scan = true;
-  /// Ablation / paper-literal mode: bypass the scheduler entirely and issue
-  /// every probe as its own blocking scalar round trip (the pre-scheduler
-  /// sequential binary search). Overrides the three knobs above.
-  bool sequential_probes = false;
   /// Planner hint: expected per-round-trip transport latency, in ns. 0
   /// keeps the paper's pure QPF-use costing; > 0 makes the planner price
   /// routes as round_trips × latency + evals × unit_cost and pick m.
@@ -214,6 +214,16 @@ class PrkbIndex {
   /// shared-lock selection paths can feed it.
   exec::CostCalibrator& calibrator() const { return calibrator_; }
 
+  /// Per-operation sampling RNG: seeded from the shared seed and an atomic
+  /// sequence number, so concurrent shared-lock readers never contend on RNG
+  /// state and single-threaded runs stay bit-for-bit reproducible. Each
+  /// probing selection draws one; a reference driver drawing in the same
+  /// order from a same-seeded index replays the same partition samples.
+  Rng OpRng() const {
+    const uint64_t seq = op_seq_.fetch_add(1, std::memory_order_relaxed);
+    return Rng(options_.seed ^ ((seq + 1) * 0x9E3779B97F4A7C15ULL));
+  }
+
  private:
   /// The executor runs plan operators against the private primitives below
   /// (it is the single relocated copy of the legacy selection drivers).
@@ -235,25 +245,17 @@ class PrkbIndex {
   std::vector<edbms::TupleId> SelectBetween(const edbms::Trapdoor& td,
                                             const TrapdoorFp* fp,
                                             const ProbeSchedOptions& sched);
-  /// Places an already-stored tuple into the chain of `attr` (update.cc).
-  void PlaceTuple(edbms::AttrId attr, edbms::TupleId tid);
-  /// Places a batch of stored tuples into `attr`'s chain with lock-step
-  /// m-ary searches sharing probe rounds (update.cc). Equivalent to calling
-  /// PlaceTuple per tuple in order, with the round trips collapsed.
+  /// Places stored tuples into `attr`'s chain (Sec. 7.1) with lock-step
+  /// m-ary searches sharing probe rounds (update.cc): every tuple pays the
+  /// (cut, tuple) evaluations of placing it alone, in order; only the round
+  /// trips collapse (a tuple that needs insert-time coarsening re-places
+  /// alone). The one placement search, eager (one tuple) or flush.
   void BatchPlace(edbms::AttrId attr, const std::vector<edbms::TupleId>& tids);
 
   /// PRKB(MD) implementation detail (multidim.cc).
   std::vector<edbms::TupleId> RunMd(
       const std::vector<const edbms::Trapdoor*>& tds,
       const ProbeSchedOptions& sched);
-
-  /// Per-operation sampling RNG: seeded from the shared seed and an atomic
-  /// sequence number, so concurrent shared-lock readers never contend on RNG
-  /// state and single-threaded runs stay bit-for-bit reproducible.
-  Rng OpRng() const {
-    const uint64_t seq = op_seq_.fetch_add(1, std::memory_order_relaxed);
-    return Rng(options_.seed ^ ((seq + 1) * 0x9E3779B97F4A7C15ULL));
-  }
 
   edbms::Edbms* db_;
   PrkbOptions options_;

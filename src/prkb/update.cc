@@ -55,9 +55,6 @@ size_t Total(const std::vector<Interval>& ivs) {
 std::vector<Interval> Clip(const std::vector<Interval>& ivs, size_t b,
                            size_t e) {
   std::vector<Interval> out;
-  if (e + 1 <= b && e < b) {
-    // empty clip range
-  }
   for (const auto& iv : ivs) {
     const size_t nb = std::max(iv.b, b);
     const size_t ne = std::min(iv.e, e);
@@ -107,8 +104,8 @@ size_t CountClip(const std::vector<Interval>& ivs, size_t b, size_t e) {
 /// O(lg k)-per-step quantile pick. Positions never change during a search
 /// (only AddTuple happens before the coarsen fallback), so one geometry
 /// serves every tuple of a batch — which is what makes the lock-step flush
-/// evaluate exactly the per-tuple (cut, tuple) pairs the eager sequential
-/// placement would have.
+/// evaluate exactly the per-tuple (cut, tuple) pairs that eager one-tuple
+/// placements would have.
 struct PlacementGeometry {
   size_t k;
   std::vector<CutRegion> regions;
@@ -204,132 +201,9 @@ struct PlacementGeometry {
 
 }  // namespace
 
-void PrkbIndex::PlaceTuple(edbms::AttrId attr, TupleId tid) {
-  const obs::ObsTracer::Span span("update.place_tuple");
-  UpdateMetrics::Get().placements->Add(1);
-  Pop& pop = pops_.at(attr);
-  if (pop.k() == 0) {
-    pop.InitSingle(std::vector<TupleId>{tid});
-    return;
-  }
-  if (pop.k() == 1) {
-    pop.AddTuple(pop.pid_at(0), tid);
-    return;
-  }
-
-  const PlacementGeometry geo(pop);
-  const size_t k = geo.k;
-  std::vector<Interval> cand = {Interval{0, k - 1}};
-
-  // Θ(trapdoor, tid) outcomes already paid for during this placement, keyed
-  // by trapdoor fingerprint: distinct cuts can share one trapdoor (BETWEEN
-  // sibling pairs, MD-fragmented splits), and the greedy search must never
-  // pay the backend twice for the same predicate.
-  std::unordered_map<TrapdoorFp, bool, TrapdoorFpHash> memo;
-
-  // Greedy search, batched: each round picks up to m−1 cuts and evaluates
-  // them in one QPF round trip, cutting the ~⌈lg k⌉ serial trips of
-  // Sec. 7.1 to ~⌈log_m k⌉. m = 2 (and the sequential-probes ablation)
-  // reproduce the paper's one-cut-per-trip binary placement exactly.
-  const bool sequential = options_.sequential_probes;
-  const size_t fanout =
-      sequential ? 2 : (options_.probe_fanout < 2 ? 2 : options_.probe_fanout);
-  const size_t npicks = sequential ? 1 : fanout - 1;
-  ProbeRound probe_round(db_);
-  std::vector<const CutRegion*> picks;
-  while (Total(cand) > 1) {
-    geo.ComputePicks(cand, fanout, npicks, &picks);
-    if (picks.empty()) break;  // no cut can narrow further
-
-    if (sequential) {
-      // Paper-literal placement: one cut, one blocking scalar round trip.
-      const CutRegion* best = picks[0];
-      bool output;
-      if (const auto it = memo.find(best->cut->fp);
-          options_.fast_path && it != memo.end()) {
-        UpdateMetrics::Get().memo_hits->Add(1);
-        output = it->second;
-      } else {
-        UpdateMetrics::Get().evals->Add(1);
-        output = db_->Eval(best->cut->trapdoor, tid);
-        memo.emplace(best->cut->fp, output);
-      }
-      if (output == best->label_for_region) {
-        cand = Clip(cand, best->region_b, best->region_e);
-      } else {
-        cand = ClipComplement(cand, best->region_b, best->region_e, k);
-      }
-      assert(!cand.empty());
-      continue;
-    }
-
-    // Batched round: resolve memoised cuts for free, dedupe the rest by
-    // trapdoor fingerprint (sibling/fragmented cuts share one lane) and ship
-    // every remaining Θ in a single round trip.
-    struct Decision {
-      const CutRegion* r;
-      bool memoized;
-      bool value;   // when memoized
-      size_t lane;  // when not
-    };
-    std::vector<Decision> decisions;
-    std::unordered_map<TrapdoorFp, size_t, TrapdoorFpHash> lane_by_fp;
-    for (const CutRegion* r : picks) {
-      if (const auto it = memo.find(r->cut->fp);
-          options_.fast_path && it != memo.end()) {
-        UpdateMetrics::Get().memo_hits->Add(1);
-        decisions.push_back(Decision{r, true, it->second, 0});
-        continue;
-      }
-      const auto [lit, inserted] = lane_by_fp.try_emplace(r->cut->fp, 0);
-      if (inserted) {
-        lit->second = probe_round.Add(r->cut->trapdoor, tid);
-        UpdateMetrics::Get().evals->Add(1);
-      }
-      decisions.push_back(Decision{r, false, false, lit->second});
-    }
-    probe_round.Flush();
-    for (const Decision& d : decisions) {
-      const bool output = d.memoized ? d.value : probe_round.ResultOf(d.lane);
-      if (!d.memoized) memo.emplace(d.r->cut->fp, output);
-      // Every outcome is ground truth about the tuple, so applying the
-      // whole round keeps the true position in `cand` (later cuts may
-      // simply stop narrowing).
-      if (output == d.r->label_for_region) {
-        cand = Clip(cand, d.r->region_b, d.r->region_e);
-      } else {
-        cand = ClipComplement(cand, d.r->region_b, d.r->region_e, k);
-      }
-      assert(!cand.empty());
-    }
-  }
-
-  if (Total(cand) == 1) {
-    pop.AddTuple(pop.pid_at(cand[0].b), tid);
-    return;
-  }
-
-  // No usable cut separates the remaining candidates (possible only when
-  // sibling-less BETWEEN cuts guard the boundary). Coarsen: merge the whole
-  // candidate span into one partition — always knowledge-safe — and place
-  // the tuple there.
-  const size_t span_b = cand.front().b;
-  size_t span_e = 0;
-  for (const auto& iv : cand) span_e = std::max(span_e, iv.e);
-  UpdateMetrics::Get().coarsen_merges->Add(span_e - span_b);
-  for (size_t i = span_b; i < span_e; ++i) pop.MergeAt(span_b);
-  pop.AddTuple(pop.pid_at(span_b), tid);
-}
-
 void PrkbIndex::BatchPlace(edbms::AttrId attr,
                            const std::vector<TupleId>& tids) {
   if (tids.empty()) return;
-  if (tids.size() == 1 || options_.sequential_probes) {
-    // Lock-step buys nothing for one tuple, and the sequential-probes
-    // ablation wants one blocking trip per probe anyway.
-    for (TupleId tid : tids) PlaceTuple(attr, tid);
-    return;
-  }
   const obs::ObsTracer::Span span("update.batch_place");
   Pop& pop = pops_.at(attr);
   size_t start = 0;
@@ -350,9 +224,16 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
 
   const PlacementGeometry geo(pop);
   const size_t k = geo.k;
-  const size_t fanout = options_.probe_fanout < 2 ? 2 : options_.probe_fanout;
+  // Greedy search, batched: each round picks up to m−1 cuts per tuple,
+  // cutting the ~⌈lg k⌉ serial trips of Sec. 7.1 to ~⌈log_m k⌉. m = 2
+  // reproduces the paper's one-cut-per-trip binary placement exactly.
+  const size_t fanout = options_.sched().fanout;
   const size_t npicks = fanout - 1;
 
+  // `memo` holds the Θ(trapdoor, tid) outcomes already paid for during one
+  // tuple's placement, keyed by trapdoor fingerprint: distinct cuts can share
+  // one trapdoor (BETWEEN sibling pairs, MD-fragmented splits), and the
+  // greedy search must never pay the backend twice for the same predicate.
   struct Search {
     TupleId tid;
     std::vector<Interval> cand;
@@ -368,8 +249,8 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
   // Lock-step rounds: every still-narrowing tuple contributes its round's
   // picks to ONE shared probe round. The geometry is fixed and each tuple's
   // picks depend only on its own candidate set, so the per-tuple
-  // (cut, tuple) evaluations are exactly the eager sequential placement's —
-  // only the round trips collapse (the ≥3× of BENCH_write_heavy.json).
+  // (cut, tuple) evaluations are exactly those of placing the tuples one by
+  // one — only the round trips collapse (the ≥3× of BENCH_write_heavy.json).
   struct Decision {
     Search* s;
     const CutRegion* r;
@@ -394,7 +275,10 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
         s.searching = false;  // coarsen fallback, handled after the loop
         continue;
       }
-      lane_by_fp.clear();  // lanes dedupe per (tuple, round), as in PlaceTuple
+      // Memoised cuts resolve for free; the rest dedupe by trapdoor
+      // fingerprint per (tuple, round) — sibling/fragmented cuts share a
+      // lane.
+      lane_by_fp.clear();
       for (const CutRegion* r : picks) {
         if (const auto it = s.memo.find(r->cut->fp);
             options_.fast_path && it != s.memo.end()) {
@@ -415,6 +299,9 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
     for (const Decision& d : decisions) {
       const bool output = d.memoized ? d.value : probe_round.ResultOf(d.lane);
       if (!d.memoized) d.s->memo.emplace(d.r->cut->fp, output);
+      // Every outcome is ground truth about the tuple, so applying the
+      // whole round keeps the true position in `cand` (later cuts may
+      // simply stop narrowing).
       if (output == d.r->label_for_region) {
         d.s->cand = Clip(d.s->cand, d.r->region_b, d.r->region_e);
       } else {
@@ -435,12 +322,28 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
       unresolved.push_back(s.tid);
     }
   }
-  // The rare coarsen cases (sibling-less BETWEEN cuts guarding the boundary)
-  // re-run the scalar placement, which merges the blocked span against the
-  // *current* chain — simpler and safer than patching candidate positions
-  // through earlier tuples' merges, at the price of re-paying those few
-  // tuples' probes.
-  for (TupleId tid : unresolved) PlaceTuple(attr, tid);
+  if (unresolved.empty()) return;
+  if (tids.size() > 1) {
+    // The rare coarsen cases of a batch re-run one by one, each merging its
+    // blocked span against the *current* chain — simpler and safer than
+    // patching candidate positions through earlier tuples' merges, at the
+    // price of re-paying those few tuples' probes.
+    for (TupleId tid : unresolved) BatchPlace(attr, {tid});
+    return;
+  }
+
+  // No usable cut separates the remaining candidates (possible only when
+  // sibling-less BETWEEN cuts guard the boundary). Coarsen: merge the whole
+  // candidate span into one partition — always knowledge-safe — and place
+  // the tuple there.
+  const std::vector<Interval>& cand = searches[0].cand;
+  const size_t span_b = cand.front().b;
+  size_t span_e = 0;
+  for (const auto& iv : cand) span_e = std::max(span_e, iv.e);
+  UpdateMetrics::Get().placements->Add(1);
+  UpdateMetrics::Get().coarsen_merges->Add(span_e - span_b);
+  for (size_t i = span_b; i < span_e; ++i) pop.MergeAt(span_b);
+  pop.AddTuple(pop.pid_at(span_b), searches[0].tid);
 }
 
 void PrkbIndex::FlushBuffered(edbms::AttrId attr) {
@@ -481,7 +384,7 @@ edbms::TupleId PrkbIndex::Insert(const std::vector<edbms::Value>& row,
     if (options_.buffered_inserts) {
       BufferAppendAttr(attr, tid);
     } else {
-      PlaceTuple(attr, tid);
+      BatchPlace(attr, {tid});
     }
   }
   CommitWal();
@@ -497,7 +400,7 @@ void PrkbIndex::PlaceStored(edbms::TupleId tid, edbms::SelectionStats* stats) {
     if (options_.buffered_inserts) {
       BufferAppendAttr(attr, tid);
     } else {
-      PlaceTuple(attr, tid);
+      BatchPlace(attr, {tid});
     }
   }
   CommitWal();

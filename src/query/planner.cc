@@ -144,10 +144,7 @@ bool CollapseGroup(const AttrGroup& group, CollapsedPred* out) {
 /// mid-run latency shift open or close the fanout search without a restart;
 /// the calibrator's hysteresis keeps a lone stalled round from doing so.
 std::vector<size_t> CandidateFanouts(const core::PrkbIndex& index) {
-  if (index.options().sequential_probes ||
-      !index.calibrator().fanout_search_open()) {
-    return {0};
-  }
+  if (!index.calibrator().fanout_search_open()) return {0};
   return {2, 4, 8, 16};
 }
 

@@ -210,11 +210,11 @@ TEST(ObsIntegrationTest, ReusedSelectionStatsNeverKeepsStaleFields) {
   auto db = edbms::CipherbaseEdbms::FromPlainTable(9, plain);
 
   // Batched scan policy so the selection records qpf_batches > 0, with
-  // sequential probes so Insert's placement stays scalar — the assertions
-  // below pin the scalar path's batches==0 / trips==uses signature.
+  // m = 2 so Insert's placement ships one cut per round — the assertions
+  // below pin that path's batches==0 / trips==uses signature.
   core::PrkbIndex index(&db, core::PrkbOptions{.seed = 43,
                                                .batch_size = 256,
-                                               .sequential_probes = true});
+                                               .probe_fanout = 2});
   index.EnableAttr(0);
   workload::QueryGen gen(spec.domain_lo, spec.domain_hi, 47);
   for (int q = 0; q < 30; ++q) {  // grow a chain so selects batch-scan
@@ -227,7 +227,7 @@ TEST(ObsIntegrationTest, ReusedSelectionStatsNeverKeepsStaleFields) {
   index.Select(db.MakeComparison(p.attr, p.op, p.lo), &st);
   ASSERT_GT(st.qpf_batches, 0u) << "select did not batch; test setup broken";
 
-  // Insert places the tuple with scalar QPF probes — no batches. Before
+  // Insert places the tuple with one-cut QPF rounds — no batches. Before
   // StatsScope, Insert left qpf_batches untouched, so a reused struct
   // reported the previous selection's value here.
   index.Insert({123}, &st);

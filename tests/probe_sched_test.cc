@@ -1,9 +1,10 @@
 // Differential tests for the batched probe scheduler (DESIGN.md §11): the
 // m-ary QFilter, probe fusion, and speculative QScan overlap must be pure
 // round-trip optimisations — same winner sets and same final POP chains as
-// the paper's sequential binary search, at every fanout. Also pins the
-// scheduler's round bound, the fast-path short-circuit, and transcript
-// replay through the batched entry point.
+// the paper's serial binary search (the m = 2 configuration, itself checked
+// use for use against Algorithm 1 built from the reference QFilter), at
+// every fanout. Also pins the scheduler's round bound, the fast-path
+// short-circuit, and transcript replay through the batched entry point.
 
 #include <cmath>
 #include <cstddef>
@@ -30,21 +31,11 @@ using edbms::TupleId;
 using edbms::Value;
 using testutil::OracleSelect;
 using testutil::OracleSelectAll;
+using testutil::PaperProbes;
 using testutil::RandomTable;
 using testutil::Sorted;
 
 constexpr uint64_t kSeed = 0x5C4ED;
-
-/// The paper-literal control: scalar blocking probes, no fusion, no
-/// speculation. Everything the scheduler does is measured against this.
-PrkbOptions SequentialBaseline() {
-  PrkbOptions o;
-  o.probe_fanout = 2;
-  o.probe_fusion = false;
-  o.speculative_scan = false;
-  o.sequential_probes = true;
-  return o;
-}
 
 std::vector<std::vector<TupleId>> ChainShape(const Pop& pop) {
   std::vector<std::vector<TupleId>> shape;
@@ -116,14 +107,14 @@ TEST(FlipSearchTest, ConvergesToTheFlipWithinTheRoundBound) {
 // --------------------------------------------------- full-index differential
 
 /// Drives the same mixed workload (comparisons, BETWEENs, inserts, deletes)
-/// through the sequential baseline and a scheduler configuration, comparing
+/// through the paper configuration and another one, comparing
 /// winner sets at every step and the full chain shape at the end. The
 /// scheduler changes which samples pay for the narrowing, never the ground
 /// truth the narrowing converges to, so the final chains must match exactly.
 void RunDifferentialWorkload(PrkbOptions sched_opts) {
   Rng data_rng(7);
   PlainTable plain = RandomTable(500, 2, &data_rng, 0, 2000);
-  Workbench ref(plain, SequentialBaseline());
+  Workbench ref(plain, PaperProbes());
   Workbench bat(plain, sched_opts);
 
   workload::QueryGen gen(0, 2000, 71);
@@ -191,33 +182,51 @@ TEST(ProbeSchedTest, SpeculationOffMatches) {
   RunDifferentialWorkload(o);
 }
 
+/// The paper's Algorithm 1 selection — QFilter, QScan, updatePRKB — built
+/// from the reference primitives: every probe and every scan evaluation one
+/// blocking QPF call. `index` only holds the chain and the sampling RNG.
+std::vector<TupleId> PaperSelect(PrkbIndex* index, const Trapdoor& td) {
+  Pop& pop = index->pop(td.attr);
+  Rng rng = index->OpRng();
+  const QFilterResult filter = QFilter(pop, td, index->db(), &rng);
+  QScanResult scan = QScan(pop, filter, td, index->db());
+  std::vector<TupleId> out;
+  for (size_t p = filter.win_begin; p < filter.win_end; ++p) {
+    pop.members_at(p).AppendTo(&out);
+  }
+  out.insert(out.end(), scan.winners.begin(), scan.winners.end());
+  ApplyComparisonSplit(&pop, filter, std::move(scan), td);
+  return out;
+}
+
 TEST(ProbeSchedTest, FanoutTwoSchedulerIsUseIdenticalToLegacy) {
   // At m = 2 with fusion and speculation off, the scheduler's pivots and
-  // sample draws coincide with the legacy binary search exactly, so the QPF
-  // spend — not just the winners — must match probe for probe at every step.
+  // sample draws coincide with Algorithm 1's binary search exactly, so the
+  // QPF spend — not just the winners — must match probe for probe at every
+  // step, in at most as many round trips (the two end probes share one).
   Rng data_rng(7);
   PlainTable plain = RandomTable(400, 2, &data_rng, 0, 2000);
-  PrkbOptions m2;
-  m2.probe_fanout = 2;
-  m2.probe_fusion = false;
-  m2.speculative_scan = false;
-  Workbench ref(plain, SequentialBaseline());
-  Workbench bat(plain, m2);
+  Workbench ref(plain, PaperProbes());
+  Workbench bat(plain, PaperProbes());
 
   workload::QueryGen gen(0, 2000, 171);
   for (int step = 0; step < 80; ++step) {
     SCOPED_TRACE(::testing::Message() << "step " << step);
     const PlainPredicate p = gen.RandomComparison(0);
-    SelectionStats ref_stats, bat_stats;
-    const auto r = ref.index.Select(ref.db.MakeComparison(p.attr, p.op, p.lo),
-                                    &ref_stats);
+    const uint64_t ref_uses0 = ref.db.uses();
+    const uint64_t ref_trips0 = ref.db.round_trips();
+    const auto r =
+        PaperSelect(&ref.index, ref.db.MakeComparison(p.attr, p.op, p.lo));
+    SelectionStats bat_stats;
     const auto b = bat.index.Select(bat.db.MakeComparison(p.attr, p.op, p.lo),
                                     &bat_stats);
     EXPECT_EQ(Sorted(r), Sorted(b));
-    EXPECT_EQ(ref_stats.qpf_uses, bat_stats.qpf_uses);
-    EXPECT_LE(bat_stats.qpf_round_trips, ref_stats.qpf_round_trips);
+    EXPECT_EQ(Sorted(b), OracleSelect(plain, p, &bat.db));
+    EXPECT_EQ(ref.db.uses() - ref_uses0, bat_stats.qpf_uses);
+    EXPECT_LE(bat_stats.qpf_round_trips, ref.db.round_trips() - ref_trips0);
   }
   EXPECT_EQ(ref.db.uses(), bat.db.uses());
+  EXPECT_EQ(ref.db.batches(), 0u);
   EXPECT_EQ(ChainShape(ref.index.pop(0)), ChainShape(bat.index.pop(0)));
 }
 
@@ -233,12 +242,12 @@ TEST(ProbeSchedTest, FusedMdWinnersMatchUnfusedAndOracle) {
   PrkbOptions fused;  // defaults: fusion on
   PrkbOptions unfused;
   unfused.probe_fusion = false;
-  PrkbOptions sequential = SequentialBaseline();
+  const PrkbOptions paper = PaperProbes();
 
   auto& reg = obs::MetricsRegistry::Global();
   const uint64_t fused_before = reg.GetCounter("probe_sched.fused")->value();
 
-  for (const PrkbOptions& opts : {fused, unfused, sequential}) {
+  for (const PrkbOptions& opts : {fused, unfused, paper}) {
     auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
     PrkbIndex index(&db, opts);
     index.EnableAttr(0);
@@ -264,8 +273,8 @@ TEST(ProbeSchedTest, RoundsPerCallStaysWithinTheScheduleBound) {
   // within the schedule bound. The histograms are process-global (under the
   // raw binary, earlier tests also record — at several fanouts), so check
   // the loosest bound they all satisfy: 2 + ceil(lg k_max) rounds (m = 2;
-  // larger m only lowers the count, and the sequential path's rounds equal
-  // its probes, bounded the same way).
+  // larger m only lowers the count, and the reference QFilter's rounds
+  // equal its probes, bounded the same way).
   Rng data_rng(61);
   const PlainTable plain = RandomTable(2000, 1, &data_rng, 0, 100000);
   auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);

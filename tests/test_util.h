@@ -8,6 +8,7 @@
 #include "edbms/cipherbase_qpf.h"
 #include "edbms/table.h"
 #include "edbms/types.h"
+#include "prkb/selection.h"
 
 namespace prkb::testutil {
 
@@ -56,6 +57,18 @@ inline std::vector<edbms::TupleId> OracleSelectAll(
     if (all) out.push_back(tid);
   }
   return out;
+}
+
+/// The paper's serial searches as a scheduler configuration: one pivot per
+/// probe round (m = 2), no fusion across searches, no speculative scan
+/// prefetch. QFilter and Sec. 7.1 placement then pay exactly the paper's
+/// QPF uses; the two chain-end probes of QFilter (and of BETWEEN) still
+/// share one round.
+inline core::PrkbOptions PaperProbes(core::PrkbOptions o = {}) {
+  o.probe_fanout = 2;
+  o.probe_fusion = false;
+  o.speculative_scan = false;
+  return o;
 }
 
 /// Sorts a selection result for comparison against an oracle.

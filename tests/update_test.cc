@@ -1,10 +1,14 @@
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "edbms/cipherbase_qpf.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "prkb/prkb_io.h"
 #include "prkb/selection.h"
+#include "prkb/wal.h"
 #include "tests/test_util.h"
 
 namespace prkb::core {
@@ -29,9 +33,9 @@ struct Mirror {
   PlainTable plain{1};
 };
 
-// Placement QPF bound for one insert: the paper's ⌈lg k⌉ + 1 on the
-// sequential path, and its m-ary analogue (m−1)·⌈log_m k⌉ + 1 when the
-// probe scheduler ships m−1 cuts per round trip.
+// Placement QPF bound for one insert: the paper's ⌈lg k⌉ + 1 at m = 2, and
+// its m-ary analogue (m−1)·⌈log_m k⌉ + 1 when the probe scheduler ships m−1
+// cuts per round trip.
 void CheckPlacementBound(PrkbOptions options) {
   Rng data_rng(1);
   PlainTable plain = RandomTable(2000, 1, &data_rng, 0, 1000000);
@@ -45,7 +49,7 @@ void CheckPlacementBound(PrkbOptions options) {
   }
   const size_t k = index.pop(0).k();
   ASSERT_GT(k, 50u);
-  const size_t m = options.sequential_probes ? 2 : options.probe_fanout;
+  const size_t m = options.probe_fanout;
   size_t log_m = 0;
   for (size_t reach = 1; reach < k; reach *= m) ++log_m;
 
@@ -56,7 +60,7 @@ void CheckPlacementBound(PrkbOptions options) {
 }
 
 TEST(InsertTest, PlacementIsLogarithmicInK) {
-  CheckPlacementBound(PrkbOptions{.sequential_probes = true});
+  CheckPlacementBound(PrkbOptions{.probe_fanout = 2});
 }
 
 TEST(InsertTest, MaryPlacementRespectsTheInflatedBound) {
@@ -199,6 +203,86 @@ TEST(UpdateChurnTest, InsertAfterBetweenQueriesUsesSiblingCuts) {
   PlainPredicate p{.attr = 0, .op = CompareOp::kLt, .lo = 500};
   const auto got = index.Select(db.MakeComparison(0, p.op, p.lo));
   EXPECT_EQ(Sorted(got), OracleSelect(plain, p));
+}
+
+/// Deterministic byte image of every enabled chain (memberships, cuts,
+/// insert buffer, fast-path cache), in attr order.
+std::vector<uint8_t> ChainBytes(const PrkbIndex& index) {
+  Encoder enc;
+  for (edbms::AttrId attr : index.EnabledAttrs()) {
+    enc.PutU32(attr);
+    index.pop(attr).EncodeTo(&enc);
+  }
+  return enc.Release();
+}
+
+/// Insert-time coarsening (the Sec. 7.1 fallback): `< 300` and `< 600` cut
+/// the chain, then BETWEEN −5 AND 450 splits only its high end — a
+/// sibling-less cut placement cannot steer by. Values 400–440 then land
+/// between the two comparison cuts with no usable cut separating the two
+/// partitions there, so placement merges that span. Winners must stay
+/// exact and WAL recovery must reproduce the chain bytes.
+void CheckInsertCoarsening(const PrkbOptions& options,
+                           const std::string& wal_name) {
+  Rng data_rng(12);
+  PlainTable plain = RandomTable(300, 1, &data_rng, 0, 1000);
+  auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
+  const std::string dir = testing::TempDir() + "/" + wal_name;
+  std::filesystem::remove_all(dir);
+  WalOptions wopts;
+  wopts.fsync_on_commit = false;
+  wopts.compact_threshold_bytes = 0;
+  PrkbIndex index(&db, options);
+  auto wal = PrkbWal::Open(&index, dir, wopts);
+  ASSERT_TRUE(wal.ok()) << wal.status().message();
+  index.EnableAttr(0);
+  ASSERT_TRUE((*wal)->Commit().ok());
+
+  index.Select(db.MakeComparison(0, CompareOp::kLt, 300));
+  index.Select(db.MakeComparison(0, CompareOp::kLt, 600));
+  index.Select(db.MakeBetween(0, -5, 450));
+  const obs::Counter* merges =
+      obs::MetricsRegistry::Global().GetCounter("update.coarsen_merges");
+  const uint64_t merges_before = merges->value();
+  for (Value v = 400; v <= 440; ++v) {
+    index.Insert({v});
+    plain.AddRow({v});
+  }
+  EXPECT_GT(merges->value() - merges_before, 0u);
+  EXPECT_TRUE(index.pop(0).ValidateAgainstPlain(plain.column(0)).ok());
+
+  PrkbIndex recovered(&db, options);
+  auto rwal = PrkbWal::Open(&recovered, dir, wopts);
+  ASSERT_TRUE(rwal.ok()) << rwal.status().message();
+  EXPECT_EQ(ChainBytes(recovered), ChainBytes(index));
+
+  for (const PlainPredicate& p :
+       {PlainPredicate{.attr = 0, .op = CompareOp::kLt, .lo = 420},
+        PlainPredicate{.attr = 0, .op = CompareOp::kGe, .lo = 431},
+        PlainPredicate{.attr = 0, .op = CompareOp::kLt, .lo = 300}}) {
+    const auto got = index.Select(db.MakeComparison(0, p.op, p.lo));
+    EXPECT_EQ(Sorted(got), OracleSelect(plain, p, &db));
+  }
+  const auto band = index.Select(db.MakeBetween(0, 405, 425));
+  EXPECT_EQ(Sorted(band),
+            OracleSelect(plain,
+                         PlainPredicate{.attr = 0,
+                                        .kind = edbms::PredicateKind::kBetween,
+                                        .lo = 405,
+                                        .hi = 425},
+                         &db));
+}
+
+TEST(InsertCoarsenTest, EagerInsertMergesTheBlockedSpan) {
+  CheckInsertCoarsening(PrkbOptions{}, "update_coarsen_eager");
+}
+
+TEST(InsertCoarsenTest, BatchFlushMergesTheBlockedSpan) {
+  // A cap of 8 flushes eight blocked tuples at a time through one lock-step
+  // placement; the ones it cannot resolve re-place one by one.
+  CheckInsertCoarsening(
+      PrkbOptions{.buffered_inserts = true, .max_buffered_inserts = 8},
+      "update_coarsen_flush");
 }
 
 // ------------------------------------------------------------- Persistence
